@@ -30,10 +30,8 @@ from .kernel import (
     expm,
     general_eigenvalues,
     kalman_rank,
-    solve_continuous_lyapunov,
     spectral_abscissa_gap,
     spectral_norm,
-    sym_eigen,
 )
 from .equilibrium import (
     ADMISSIBILITY_TOL,
@@ -123,11 +121,9 @@ __all__ = [
     "sharp_constant",
     "shifted_weights",
     "skew_coupling",
-    "solve_continuous_lyapunov",
     "spectral_abscissa_gap",
     "spectral_gap",
     "spectral_norm",
-    "sym_eigen",
     "tangency_time",
     "validate_pair",
 ]

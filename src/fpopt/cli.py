@@ -21,7 +21,14 @@ from . import __version__, benchmarks
 from .construction import construct_optimal
 from .equilibrium import spectral_gap, validate_pair
 from .errors import FpoptError, InvalidConstant, MixedEquilibria, RateTooLarge
-from .propagator import Schedule, norm_curve, sharp_constant, tangency_time
+from .propagator import (
+    DEFAULT_SAMPLES,
+    Schedule,
+    compare_schedules,
+    norm_curve,
+    sharp_constant,
+    tangency_time,
+)
 from .serialize import (
     ProblemFormatError,
     certificate_to_dict,
@@ -45,9 +52,18 @@ def _fail(message: str, code: int) -> int:
 
 
 def _default_samples(args) -> int:
-    if getattr(args, "samples", None):
-        return int(args.samples)
-    return int(os.environ.get("FPOPT_SAMPLES", 4096))
+    return args.samples or DEFAULT_SAMPLES
+
+
+def _positive(name: str, value) -> float:
+    """``value`` as a float, or a parse failure unless it is a positive number."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ProblemFormatError(f"{name} must be a number, got {value!r}") from None
+    if not value > 0:
+        raise ProblemFormatError(f"{name} must be positive, got {value:g}")
+    return value
 
 
 def _write_text(payload: str, out: str | None) -> None:
@@ -96,12 +112,12 @@ def cmd_curve(args) -> int:
     rate = args.rate if args.rate is not None else analysis.get("rate")
     if rate is None:
         rate = spectral_gap(source.asymptotic_pair)
-    rate = float(rate)
+    rate = _positive("rate", rate)
     t_max = args.tmax if args.tmax is not None else analysis.get("t_max")
     if t_max is None:
         t_max = 20.0 / rate
-    samples = args.samples or analysis.get("samples") or _default_samples(args)
-    curve = norm_curve(source, float(t_max), int(samples), rate=rate)
+    samples = args.samples or analysis.get("samples") or DEFAULT_SAMPLES
+    curve = norm_curve(source, _positive("t_max", t_max), int(samples), rate=rate)
     if args.out:
         curve.write_csv(args.out)
     else:
@@ -118,9 +134,7 @@ def cmd_compare(args) -> int:
             return _fail(f"{path}: needs a pair or a schedule", EXIT_PARSE)
         schedules.append(source)
         labels.append(os.path.basename(path))
-    from .propagator import compare_schedules
-
-    rows = compare_schedules(schedules, args.rate, labels=labels,
+    rows = compare_schedules(schedules, _positive("rate", args.rate), labels=labels,
                              samples=_default_samples(args))
     lines = ["id\tsharp_constant\tmax_drift_frobenius"]
     for row in rows:
@@ -274,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="problem file with a pair or schedule")
     p.add_argument("--rate", type=float, default=None, help="envelope rate (default: spectral gap)")
     p.add_argument("--tmax", type=float, default=None, help="sampling horizon")
-    p.add_argument("--samples", type=int, default=None, help="grid size (default FPOPT_SAMPLES or 4096)")
+    p.add_argument("--samples", type=int, default=None, help=f"grid size (default {DEFAULT_SAMPLES})")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_curve)
 

@@ -3,11 +3,8 @@
 Everything here operates on plain float ``numpy`` arrays, allocates fresh
 outputs, and holds no state, so all functions are safe to call concurrently.
 The heavy lifting is delegated to LAPACK through numpy/scipy: the matrix
-exponential uses scipy's scaling-and-squaring Pade code, symmetric spectra
-use ``eigh``, general spectra use the Hessenberg + shifted-QR path behind
-``eigvals``.  The Lyapunov equation is deliberately solved by vectorisation
-to a dense n^2 x n^2 system: dimensions stay small in this package and the
-direct solve is trivial to audit.
+exponential uses scipy's scaling-and-squaring Pade code, general spectra
+use the Hessenberg + shifted-QR path behind ``eigvals``.
 """
 
 from __future__ import annotations
@@ -15,12 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    EigenFailure,
-    InvalidMatrix,
-    NotPositiveStable,
-    NotSymmetric,
-)
+from .errors import EigenFailure, InvalidMatrix
 
 #: Relative Frobenius tolerance for accepting a matrix as (anti)symmetric.
 #: Inputs in this package are constructed analytically, so the tolerance is
@@ -63,52 +55,37 @@ def antisymmetry_defect(a) -> float:
     return float(np.linalg.norm(a + a.T) / scale)
 
 
-def expm(a, t: float = 1.0) -> np.ndarray:
-    """Decay propagator ``exp(-t a)``.
+def expm(a, t=1.0) -> np.ndarray:
+    """Decay propagator ``exp(-t a)``, or a stack of them.
 
     Mind the sign convention: this is the solution operator after time ``t``
     of the linear ODE ``dx/dt = -a x``, which is the only form the rest of
     the package needs.  Relative accuracy is at working precision for the
-    moderate ``||a t||`` arising here (scaling-and-squaring Pade).
+    moderate ``||a t||`` arising here (scaling-and-squaring Pade).  A stack
+    runs the same per-matrix code as scalar calls, so each slice equals the
+    scalar result bit for bit.
 
     Parameters
     ----------
     a
         Square real matrix.
     t
-        Nonnegative time.
+        Nonnegative time, or a 1-D array of them; an array gives the stack
+        of ``exp(-t[k] a)`` along a new first axis.
     """
     a = as_square(a)
-    if not np.isfinite(t) or t < 0:
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError("times must be a scalar or a 1-D array")
+    if not np.all(np.isfinite(t)) or np.any(t < 0):
         raise ValueError("time must be finite and nonnegative")
-    return scipy.linalg.expm((-t) * a)
+    return scipy.linalg.expm(-t[..., None, None] * a)
 
 
 def spectral_norm(a) -> float:
     """Largest singular value of ``a`` (the operator norm on Euclidean space)."""
     a = as_square(a)
     return float(np.linalg.norm(a, 2))
-
-
-def sym_eigen(a, tol: float = SYM_TOL):
-    """Spectral decomposition of a symmetric matrix.
-
-    Returns
-    -------
-    (w, v)
-        Eigenvalues ``w`` in ascending order and orthonormal eigenvector
-        columns ``v`` with ``a v[:, i] = w[i] v[:, i]``.
-
-    Raises
-    ------
-    NotSymmetric
-        If the relative symmetry defect of ``a`` exceeds ``tol``.
-    """
-    a = as_square(a)
-    if symmetry_defect(a) > tol:
-        raise NotSymmetric(f"symmetry defect {symmetry_defect(a):.3e} exceeds {tol:.1e}")
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
-    return w, v
 
 
 def general_eigenvalues(a) -> np.ndarray:
@@ -128,32 +105,6 @@ def general_eigenvalues(a) -> np.ndarray:
 def spectral_abscissa_gap(a) -> float:
     """Smallest real part over the spectrum of ``a``."""
     return float(np.min(np.real(general_eigenvalues(a))))
-
-
-def solve_continuous_lyapunov(a, b) -> np.ndarray:
-    """Solve ``a q + q a^T = 2 b`` for the unique symmetric ``q``.
-
-    Uniqueness requires every eigenvalue of ``a`` to have positive real
-    part.  The equation is vectorised to a dense n^2 x n^2 linear system and
-    solved directly; with ``b`` positive semi-definite the solution is
-    symmetric positive semi-definite.
-
-    Raises
-    ------
-    NotPositiveStable
-        If ``min Re sigma(a) <= 0``.
-    """
-    a = as_square(a)
-    b = as_square(b)
-    if a.shape != b.shape:
-        raise InvalidMatrix("coefficient matrices must have matching shapes")
-    if spectral_abscissa_gap(a) <= 0.0:
-        raise NotPositiveStable("left coefficient must have spectrum in the open right half-plane")
-    n = a.shape[0]
-    eye = np.eye(n)
-    system = np.kron(a, eye) + np.kron(eye, a)
-    q = np.linalg.solve(system, (2.0 * b).reshape(-1)).reshape(n, n)
-    return 0.5 * (q + q.T)
 
 
 def kalman_rank(a, b, tol: float = RANK_TOL) -> bool:

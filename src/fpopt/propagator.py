@@ -15,7 +15,6 @@ initial decay.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -42,15 +41,20 @@ _PEAK_SLACK = 0.05
 
 _GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
 
+#: Matrix entries per stacked evaluation, which bounds the working memory of
+#: a curve at large d (2**16 doubles, 512 KiB, per stack of propagators).
+_CHUNK_ELEMENTS = 2**16
+
 
 class Schedule:
     """Piecewise-constant-in-time coefficient pairs sharing one equilibrium.
 
-    ``pairs[i]`` is active on ``[breakpoints[i], breakpoints[i+1])`` and the
-    last pair runs forever; ``switch_times`` are the interior breakpoints,
-    strictly increasing and positive.  A single pair with no switch times is
-    the constant-coefficient case.  All pairs must share the same
-    covariance, otherwise the notion of one decay problem breaks down.
+    ``pairs[0]`` is active from time 0 to ``switch_times[0]``, ``pairs[i]``
+    from ``switch_times[i-1]`` to ``switch_times[i]``, and the last pair runs
+    forever; ``switch_times`` are strictly increasing and positive.  A
+    single pair with no switch times is the constant-coefficient case.  All
+    pairs must share the same covariance, otherwise the notion of one decay
+    problem breaks down.
     """
 
     def __init__(self, pairs: Sequence[CoefficientPair], switch_times: Sequence[float] = ()):
@@ -82,17 +86,8 @@ class Schedule:
         return self.covariance.dim
 
     @property
-    def breakpoints(self) -> tuple:
-        """All segment start times, beginning with 0."""
-        return (0.0,) + self.switch_times
-
-    @property
     def asymptotic_pair(self) -> CoefficientPair:
         return self.pairs[-1]
-
-    def segment_index(self, t: float) -> int:
-        """Index of the pair active at time ``t`` (right-continuous)."""
-        return bisect.bisect_right(self.switch_times, t)
 
     def __repr__(self):
         return f"Schedule(pieces={len(self.pairs)}, switch_times={list(self.switch_times)})"
@@ -107,26 +102,39 @@ def _as_schedule(source: Union[Schedule, CoefficientPair]) -> Schedule:
 
 
 class _Flow:
-    """Evaluator for T(t, 0) with prefix products cached at the breakpoints,
-    so each evaluation costs one matrix exponential."""
+    """The package's one evaluator of T(t, start), over arrays of times.
 
-    def __init__(self, schedule: Schedule):
-        self.switch_times = schedule.switch_times
-        self.drifts = [p.whitened_drift for p in schedule.pairs]
-        prefixes = [np.eye(schedule.dim)]
-        start = 0.0
-        for i, s in enumerate(self.switch_times):
-            prefixes.append(kernel.expm(self.drifts[i], s - start) @ prefixes[-1])
-            start = s
+    Prefix products T(s, start) are cached at the switch times after
+    ``start``, so each time costs one matrix exponential.  Times are
+    evaluated in stacks of at most ``_CHUNK_ELEMENTS`` matrix entries.
+    """
+
+    def __init__(self, schedule: Schedule, start: float = 0.0):
+        first = int(np.searchsorted(schedule.switch_times, start, side="right"))
+        self.starts = (float(start),) + schedule.switch_times[first:]
+        self.drifts = [p.whitened_drift for p in schedule.pairs[first:]]
+        self.dim = schedule.dim
+        prefixes = [np.eye(self.dim)]
+        for drift, lo, hi in zip(self.drifts, self.starts, self.starts[1:]):
+            prefixes.append(kernel.expm(drift, hi - lo) @ prefixes[-1])
         self.prefixes = prefixes
-        self.starts = (0.0,) + self.switch_times
 
-    def at(self, t: float) -> np.ndarray:
-        i = bisect.bisect_right(self.switch_times, t)
-        return kernel.expm(self.drifts[i], t - self.starts[i]) @ self.prefixes[i]
+    def at(self, times: np.ndarray) -> np.ndarray:
+        """Stack of T(t, start) for a 1-D array of times ``t >= start``."""
+        segment = np.searchsorted(self.starts[1:], times, side="right")
+        out = np.empty((len(times), self.dim, self.dim))
+        for i in np.unique(segment):
+            hit = segment == i
+            out[hit] = kernel.expm(self.drifts[i], times[hit] - self.starts[i]) @ self.prefixes[i]
+        return out
 
-    def log_norm(self, t: float) -> float:
-        return float(np.log(np.linalg.norm(self.at(t), 2)))
+    def log_norms(self, times) -> np.ndarray:
+        """``log ||T(t, start)||`` for each entry of a 1-D array of times."""
+        step = max(1, _CHUNK_ELEMENTS // self.dim**2)
+        norms = np.empty(len(times))
+        for k in range(0, len(times), step):
+            norms[k:k + step] = np.linalg.norm(self.at(times[k:k + step]), 2, axis=(1, 2))
+        return np.log(norms)
 
 
 def propagator(source: Union[Schedule, CoefficientPair], t1: float, t2: float) -> np.ndarray:
@@ -141,22 +149,9 @@ def propagator(source: Union[Schedule, CoefficientPair], t1: float, t2: float) -
     schedule = _as_schedule(source)
     t1 = float(t1)
     t2 = float(t2)
-    if t2 < t1:
-        raise InvalidInterval(f"need t2 >= t1, got [{t1}, {t2}]")
-    out = np.eye(schedule.dim)
-    if t2 == t1:
-        return out
-    bounds = list(schedule.switch_times) + [np.inf]
-    start = 0.0
-    for pair, end in zip(schedule.pairs, bounds):
-        lo = max(t1, start)
-        hi = min(t2, end)
-        if hi > lo:
-            out = kernel.expm(pair.whitened_drift, hi - lo) @ out
-        if end >= t2:
-            break
-        start = end
-    return out
+    if not 0.0 <= t1 <= t2:
+        raise InvalidInterval(f"need 0 <= t1 <= t2, got [{t1}, {t2}]")
+    return _Flow(schedule, t1).at(np.array([t2]))[0]
 
 
 @dataclass(frozen=True)
@@ -165,8 +160,10 @@ class NormCurve:
 
     ``values`` always start at 1 and stay in (0, 1]; they oscillate below
     the envelope ``sharp_constant * exp(-rate t)`` rather than decreasing
-    monotonically.  When a rate is attached, the grid contains the first
-    envelope tangency point, so the bound is attained on the grid itself.
+    monotonically.  When a rate is attached, ``sharp_constant`` is the value
+    of :func:`sharp_constant`: exact for the periodic 2D curves, a lower
+    bound in higher dimension.  The grid then contains the first refined
+    tangency point, so the envelope touches the curve on the grid itself.
     """
 
     times: np.ndarray
@@ -199,9 +196,10 @@ def norm_curve(source: Union[Schedule, CoefficientPair], t_max: float,
     """Sample the propagator norm on ``[0, t_max]``.
 
     The grid is uniform with ``samples`` points plus the schedule's interior
-    breakpoints; when ``rate`` is given the sharp constant at that rate is
-    computed (on its own, long-enough horizon) and the first envelope
-    tangency point, if it falls inside ``[0, t_max]``, is added to the grid.
+    switch times.  When ``rate`` is given, the envelope constant at that
+    rate is computed as by :func:`sharp_constant` (exact for the periodic
+    2D curves, a lower bound in higher dimension), and the first tangency
+    point, if it falls inside ``[0, t_max]``, is added to the grid.
     """
     schedule = _as_schedule(source)
     if not t_max > 0:
@@ -218,35 +216,37 @@ def norm_curve(source: Union[Schedule, CoefficientPair], t_max: float,
             extra.append(scan.first_t)
     if extra:
         grid = np.unique(np.concatenate((grid, np.asarray(extra))))
-    flow = _Flow(schedule)
-    values = np.array([np.exp(flow.log_norm(t)) for t in grid])
+    values = np.exp(_Flow(schedule).log_norms(grid))
     return NormCurve(times=grid, values=values, rate=rate, sharp_constant=constant)
 
 
 class _ScanResult(NamedTuple):
     log_sup: float      # log of the supremum of exp(rate t) ||T(t, 0)||
-    t_sup: float        # where the supremum is attained
     first_t: float      # earliest refined peak attaining the supremum
-    peaks: list         # refined (t, log value) candidates
 
 
-def _refine_peak(flow: _Flow, rate: float, lo: float, hi: float, steps: int = 60):
-    """Golden-section maximisation of rate*t + log||T(t,0)|| on [lo, hi]."""
-    objective = lambda t: rate * t + flow.log_norm(t)
+def _golden_section(flow: _Flow, rate: float, lo: np.ndarray, hi: np.ndarray,
+                    steps: int = 60):
+    """Maximise rate*t + log||T(t,0)|| on every bracket [lo[k], hi[k]].
+
+    All brackets step in lockstep, one stacked evaluation per step; returns
+    the arrays of maximisers and maxima.
+    """
+    objective = lambda t: rate * t + flow.log_norms(t)
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = objective(x1), objective(x2)
+    f1, f2 = np.split(objective(np.concatenate((x1, x2))), 2)
     for _ in range(steps):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = objective(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = objective(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+        right = f1 < f2         # the maximum lies in [x1, b]
+        a = np.where(right, x1, a)
+        b = np.where(right, b, x2)
+        new = np.where(right, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
+        f_new = objective(new)
+        x1, f1, x2, f2 = (np.where(right, x2, new), np.where(right, f2, f_new),
+                          np.where(right, new, x1), np.where(right, f_new, f1))
+    left = f1 >= f2
+    return np.where(left, x1, x2), np.where(left, f1, f2)
 
 
 def _scan_envelope(schedule: Schedule, rate: float, t_max: Optional[float],
@@ -274,22 +274,19 @@ def _scan_envelope(schedule: Schedule, rate: float, t_max: Optional[float],
     if interior:
         grid = np.unique(np.concatenate((grid, np.asarray(interior))))
     flow = _Flow(schedule)
-    logg = np.array([rate * t + flow.log_norm(t) for t in grid])
+    logg = rate * grid + flow.log_norms(grid)
 
-    grid_best = float(logg.max())
     # Genuine local maxima only: a rise below the noise floor of the log
     # values is sampling noise on a flat stretch, not a peak worth refining.
-    brackets = {
-        i for i in range(1, len(grid) - 1)
-        if logg[i] - logg[i - 1] > 1e-12 and logg[i] >= logg[i + 1]
-        and logg[i] >= grid_best - _PEAK_SLACK
-    }
+    inner = logg[1:-1]
+    brackets = 1 + np.flatnonzero((inner - logg[:-2] > 1e-12) & (inner >= logg[2:])
+                                  & (inner >= logg.max() - _PEAK_SLACK))
     i_best = int(np.argmax(logg))
     if 0 < i_best < len(grid) - 1:
-        brackets.add(i_best)
-    peaks = [(float(grid[0]), float(logg[0])), (float(grid[-1]), float(logg[-1]))]
-    for i in sorted(brackets):
-        peaks.append(_refine_peak(flow, rate, grid[i - 1], grid[i + 1]))
+        brackets = np.union1d(brackets, [i_best])
+    peak_t, peak_v = _golden_section(flow, rate, grid[brackets - 1], grid[brackets + 1])
+    ts = np.concatenate(([grid[0], grid[-1]], peak_t))
+    vs = np.concatenate(([logg[0], logg[-1]], peak_v))
 
     # Backup divergence guard for the defective-boundary case the spectral
     # test cannot see: sustained growth of the refined peak heights across
@@ -297,16 +294,13 @@ def _scan_envelope(schedule: Schedule, rate: float, t_max: Optional[float],
     # rates the peaks of the quasi-periodic weighted curve may keep creeping
     # toward the supremum, which is approach, not divergence.
     half = 0.5 * horizon
-    early = max(v for t, v in peaks if t <= half)
-    late = max(v for t, v in peaks if t >= half)
-    if late > early + np.log(1.05):
+    if vs[ts >= half].max() > vs[ts <= half].max() + np.log(1.05):
         raise RateTooLarge(
             f"rate {rate:.6g} is not sustained by the schedule "
             "(weighted curve keeps growing)")
 
-    log_sup, t_sup = max((v, t) for t, v in peaks)
-    first_t = min(t for t, v in peaks if v >= log_sup - 1e-9)
-    return _ScanResult(log_sup=log_sup, t_sup=t_sup, first_t=first_t, peaks=peaks)
+    log_sup = vs.max()
+    return _ScanResult(log_sup=log_sup, first_t=ts[vs >= log_sup - 1e-9].min())
 
 
 def sharp_constant(source: Union[Schedule, CoefficientPair], rate: float,
@@ -315,11 +309,16 @@ def sharp_constant(source: Union[Schedule, CoefficientPair], rate: float,
     """Minimal ``c`` with ``||T(t, 0)|| <= c exp(-rate t)`` for all ``t >= 0``.
 
     Computed as the supremum of ``exp(rate t) ||T(t, 0)||`` over a dense
-    grid (plus the schedule breakpoints) with golden-section refinement
-    around each competitive local maximum.  The default horizon
-    ``max(20/rate, 4 * last switch)`` provably covers the supremum for the
-    asymptotically periodic curves produced here; an explicit ``t_max``
-    shorter than ``20/rate`` is rejected.
+    grid on ``[0, horizon]`` (plus the schedule's switch times) with
+    golden-section refinement around each competitive local maximum.  The
+    default horizon is ``max(20/rate, 4 * last switch)``; an explicit
+    ``t_max`` shorter than ``20/rate`` is rejected.
+
+    The result is exact when the weighted curve is periodic after the last
+    switch, as for the 2D rotating pairs and the schedules ending in one:
+    the horizon then holds whole periods.  In higher dimension the weighted
+    curve is quasi-periodic, its supremum can lie beyond any finite horizon,
+    and the result is a lower bound that a longer ``t_max`` may raise.
 
     Raises
     ------

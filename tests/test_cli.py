@@ -171,6 +171,21 @@ def test_curve_rate_too_large_exit_5(tmp_path, capsys):
     assert err
 
 
+def test_curve_nonpositive_rate_or_horizon_exit_2(tmp_path, capsys):
+    path = write_json(tmp_path / "p.json", anisotropic_doc({"pair": rotating_matrices(7.0)}))
+    for flag, value in (("--rate", "-1"), ("--rate", "0"), ("--rate", "nan"),
+                        ("--tmax", "0"), ("--tmax", "-2")):
+        code, out, err = run(capsys, "curve", path, flag, value)
+        assert code == 2
+        assert not out
+        assert ("rate" if flag == "--rate" else "t_max") in err
+    for analysis in ({"rate": 0.0}, {"rate": -0.5}, {"rate": "fast"}):
+        doc = anisotropic_doc({"pair": rotating_matrices(7.0), "analysis": analysis})
+        code, _, err = run(capsys, "curve", write_json(tmp_path / "a.json", doc))
+        assert code == 2
+        assert "rate" in err
+
+
 def test_curve_needs_pair_or_schedule(tmp_path, capsys):
     path = write_json(tmp_path / "p.json", {"K": {"diag": [1.0, 2.0]}, "c": 2.0})
     assert run(capsys, "curve", path)[0] == 2
@@ -209,6 +224,15 @@ def test_compare_orders_switching_study(tmp_path, capsys):
     assert constants["fp1.json"] == pytest.approx(np.sqrt(4.0 / 3.0), abs=1e-4)
 
 
+def test_compare_nonpositive_rate_exit_2(tmp_path, capsys):
+    path = write_json(tmp_path / "a.json", anisotropic_doc({"pair": rotating_matrices(7.0)}))
+    for rate in ("0", "-1"):
+        code, out, err = run(capsys, "compare", path, "--rate", rate)
+        assert code == 2
+        assert not out
+        assert "rate" in err
+
+
 def test_compare_mixed_equilibria_exit_6(tmp_path, capsys):
     a = write_json(tmp_path / "a.json", anisotropic_doc({"pair": rotating_matrices(7.0)}))
     b = write_json(tmp_path / "b.json",
@@ -220,10 +244,10 @@ def test_compare_mixed_equilibria_exit_6(tmp_path, capsys):
 
 # ---------------------------------------------------------------- reproduce
 
-def test_reproduce_fig1_files(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FPOPT_SAMPLES", "64")
+def test_reproduce_fig1_files(tmp_path, capsys):
     outdir = tmp_path / "fig1"
-    code, _, _ = run(capsys, "reproduce", "fig1", "--outdir", str(outdir))
+    code, _, _ = run(capsys, "reproduce", "fig1", "--outdir", str(outdir),
+                      "--samples", "64")
     assert code == 0
     names = sorted(p.name for p in outdir.iterdir())
     csvs = [n for n in names if n.endswith(".csv")]
@@ -235,29 +259,29 @@ def test_reproduce_fig1_files(tmp_path, capsys, monkeypatch):
     assert "version" in manifest
 
 
-def test_reproduce_fig2_files(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FPOPT_SAMPLES", "64")
+def test_reproduce_fig2_files(tmp_path, capsys):
     outdir = tmp_path / "fig2"
-    assert run(capsys, "reproduce", "fig2", "--outdir", str(outdir))[0] == 0
+    assert run(capsys, "reproduce", "fig2", "--outdir", str(outdir),
+               "--samples", "64")[0] == 0
     csvs = sorted(p.name for p in outdir.iterdir() if p.suffix == ".csv")
     assert len(csvs) == 5
     assert {"fig2_norm_mu3.csv", "fig2_norm_mu7.csv", "fig2_envelope.csv"} <= set(csvs)
 
 
-def test_reproduce_fig3_files(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FPOPT_SAMPLES", "64")
+def test_reproduce_fig3_files(tmp_path, capsys):
     outdir = tmp_path / "fig3"
-    assert run(capsys, "reproduce", "fig3", "--outdir", str(outdir))[0] == 0
+    assert run(capsys, "reproduce", "fig3", "--outdir", str(outdir),
+               "--samples", "64")[0] == 0
     csvs = sorted(p.name for p in outdir.iterdir() if p.suffix == ".csv")
     assert len(csvs) == 6
     assert {"fig3_schedule_fp1.csv", "fig3_schedule_fp5.csv",
             "fig3_envelope_fp1.csv"} <= set(csvs)
 
 
-def test_reproduce_fig4_manifest_switch_times(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FPOPT_SAMPLES", "64")
+def test_reproduce_fig4_manifest_switch_times(tmp_path, capsys):
     outdir = tmp_path / "fig4"
-    assert run(capsys, "reproduce", "fig4", "--outdir", str(outdir))[0] == 0
+    assert run(capsys, "reproduce", "fig4", "--outdir", str(outdir),
+               "--samples", "64")[0] == 0
     manifest = json.loads((outdir / "fig4_manifest.json").read_text())
     switches = manifest["switch_times"]
     assert switches["fp5"] == pytest.approx(0.1434, abs=1e-3)
@@ -268,16 +292,3 @@ def test_reproduce_unknown_figure_exit_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["reproduce", "fig9"])
     assert excinfo.value.code == 2
-
-
-# ---------------------------------------------------------------- samples env
-
-def test_env_var_controls_default_grid(tmp_path, capsys, monkeypatch):
-    doc = {"K": {"diag": [1.0, 2.0]},
-           "pair": {"C": {"diag": [1.0, 0.5]}, "D": {"diag": [1.0, 1.0]}}}
-    path = write_json(tmp_path / "p.json", doc)
-    monkeypatch.setenv("FPOPT_SAMPLES", "64")
-    out_csv = tmp_path / "c.csv"
-    assert run(capsys, "curve", path, "--rate", "0.5", "--tmax", "3.0",
-               "--out", str(out_csv))[0] == 0
-    assert len(out_csv.read_text().strip().split("\n")) == 65

@@ -1,20 +1,15 @@
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.linalg
 
 from fpopt import (
     InvalidMatrix,
-    NotPositiveStable,
-    NotSymmetric,
     expm,
     general_eigenvalues,
     kalman_rank,
-    solve_continuous_lyapunov,
     spectral_norm,
-    sym_eigen,
 )
-from helpers import random_admissible_pair, random_covariance, random_stable
+from helpers import random_stable
 
 
 # ---------------------------------------------------------------- expm
@@ -73,6 +68,22 @@ def test_expm_rejects_nonfinite():
         expm(np.eye(2), -1.0)
 
 
+def test_expm_time_array_is_stack_of_scalar_calls():
+    rng = np.random.default_rng(15)
+    for dim in (2, 5):
+        a = random_stable(rng, dim)
+        times = np.concatenate(([0.0], rng.uniform(0.0, 4.0, size=9)))
+        stack = expm(a, times)
+        assert stack.shape == (10, dim, dim)
+        assert np.array_equal(stack, np.array([expm(a, t) for t in times]))
+
+
+def test_expm_time_array_rejects_bad_entries():
+    for times in ([0.5, -1e-3], [0.5, np.nan], [np.inf], [[0.5]]):
+        with pytest.raises(ValueError):
+            expm(np.eye(2), np.array(times))
+
+
 # ------------------------------------------------------- spectral_norm
 
 def test_spectral_norm_identity_and_diagonal():
@@ -100,34 +111,6 @@ def test_spectral_norm_rejects_nonfinite():
         spectral_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
-# ----------------------------------------------------------- sym_eigen
-
-def test_sym_eigen_sorted_diagonal():
-    w, v = sym_eigen(np.diag([2.0, 1.0]))
-    assert np.allclose(w, [1.0, 2.0], atol=1e-15)
-    assert np.abs(np.abs(v) - np.array([[0.0, 1.0], [1.0, 0.0]])).max() <= 1e-15
-
-
-def test_sym_eigen_swap_matrix():
-    w, _ = sym_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(w, [-1.0, 1.0], atol=1e-15)
-
-
-def test_sym_eigen_reconstruction_and_orthonormality():
-    rng = np.random.default_rng(7)
-    g = rng.normal(size=(6, 6))
-    a = g + g.T
-    w, v = sym_eigen(a)
-    assert np.linalg.norm(v @ np.diag(w) @ v.T - a) <= 1e-11 * np.linalg.norm(a)
-    assert np.linalg.norm(v.T @ v - np.eye(6)) <= 1e-12
-    assert np.all(np.diff(w) >= 0.0)
-
-
-def test_sym_eigen_rejects_asymmetric():
-    with pytest.raises(NotSymmetric):
-        sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 # -------------------------------------------------- general_eigenvalues
 
 def test_eigenvalues_of_rotating_block():
@@ -149,53 +132,6 @@ def test_eigenvalues_companion_matrix():
     companion = np.array([[6.0, -11.0, 6.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     roots = np.sort(general_eigenvalues(companion).real)
     assert np.abs(roots - np.array([1.0, 2.0, 3.0])).max() <= 1e-9
-
-
-# ------------------------------------------- solve_continuous_lyapunov
-
-def test_lyapunov_identity_coefficients():
-    q = solve_continuous_lyapunov(np.eye(3), np.eye(3))
-    assert np.abs(q - np.eye(3)).max() <= 1e-12
-
-
-def test_lyapunov_recovers_covariance_from_admissible_pair():
-    # the stationarity equation of any admissible pair is solved by K itself
-    rng = np.random.default_rng(8)
-    cov = random_covariance(rng, 4)
-    pair = random_admissible_pair(rng, cov)
-    q = solve_continuous_lyapunov(pair.drift, pair.diffusion)
-    assert np.linalg.norm(q - cov.matrix) <= 1e-10 * np.linalg.norm(cov.matrix)
-
-
-def test_lyapunov_against_bartels_stewart():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        a = random_stable(rng, 5)
-        g = rng.normal(size=(5, 5))
-        b = g @ g.T
-        q = solve_continuous_lyapunov(a, b)
-        reference = scipy.linalg.solve_continuous_lyapunov(a, 2.0 * b)
-        scale = np.linalg.norm(a) * np.linalg.norm(q) + np.linalg.norm(b)
-        assert np.linalg.norm(a @ q + q @ a.T - 2.0 * b) <= 1e-10 * scale
-        assert np.linalg.norm(q - reference) <= 1e-9 * max(np.linalg.norm(q), 1.0)
-
-
-def test_lyapunov_solution_symmetric_psd():
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        a = random_stable(rng, 4)
-        g = rng.normal(size=(4, 4))
-        b = g @ g.T
-        q = solve_continuous_lyapunov(a, b)
-        assert np.linalg.norm(q - q.T) <= 1e-12 * max(np.linalg.norm(q), 1.0)
-        assert np.linalg.eigvalsh(q)[0] >= -1e-10
-
-
-def test_lyapunov_rejects_unstable():
-    with pytest.raises(NotPositiveStable):
-        solve_continuous_lyapunov(-np.eye(2), np.eye(2))
-    with pytest.raises(NotPositiveStable):
-        solve_continuous_lyapunov(np.diag([1.0, 0.0]), np.eye(2))
 
 
 # ----------------------------------------------------------- kalman_rank

@@ -26,7 +26,9 @@ from fpopt import (
     tangency_time,
     validate_pair,
 )
+from fpopt import kernel
 from fpopt.benchmarks import case_pairs, rotating_pair, split_schedule, symmetric_pair
+from fpopt.propagator import _CHUNK_ELEMENTS, _GOLDEN, _Flow, _golden_section
 from helpers import integrate_flow, random_admissible_pair, random_covariance
 
 
@@ -41,14 +43,6 @@ def test_schedule_validation():
     other = symmetric_pair(eps=0.1)
     with pytest.raises(MixedEquilibria):
         Schedule([pair, other], [0.1])
-
-
-def test_schedule_segment_lookup():
-    schedule = split_schedule(rotating_pair(11.0), 0.1)
-    assert schedule.segment_index(0.0) == 0
-    assert schedule.segment_index(0.0999) == 0
-    assert schedule.segment_index(0.1) == 1
-    assert schedule.breakpoints == (0.0, 0.1)
 
 
 # --------------------------------------------------------------- propagator
@@ -94,6 +88,8 @@ def test_propagator_matches_ode_oracle_across_switch():
 def test_propagator_rejects_reversed_interval():
     with pytest.raises(InvalidInterval):
         propagator(Schedule.constant(rotating_pair(7.0)), 1.0, 0.5)
+    with pytest.raises(InvalidInterval):
+        propagator(Schedule.constant(rotating_pair(7.0)), -0.5, 1.0)
 
 
 def test_propagator_contraction_bound():
@@ -104,6 +100,79 @@ def test_propagator_contraction_bound():
     for _ in range(10):
         t1, t2 = np.sort(rng.uniform(0.0, 3.0, size=2))
         assert spectral_norm(propagator(schedule, t1, t2)) <= 1.0 + 1e-12
+
+
+# ------------------------------------------------------- stacked evaluator
+
+def _scalar_norm(product):
+    # the arithmetic of one curve value, written out for a single time
+    return np.exp(np.log(np.linalg.norm(product, 2)))
+
+
+def test_flow_three_pieces_matches_scalar_products():
+    rng = np.random.default_rng(46)
+    cov = random_covariance(rng, 3)
+    pairs = [random_admissible_pair(rng, cov) for _ in range(3)]
+    switches = (0.3, 0.7)
+    schedule = Schedule(pairs, switches)
+    curve = norm_curve(schedule, 2.0, 41)
+    assert set(switches) <= set(curve.times)
+    drifts = [p.whitened_drift for p in pairs]
+    at_first = kernel.expm(drifts[0], 0.3) @ np.eye(3)
+    at_second = kernel.expm(drifts[1], 0.7 - 0.3) @ at_first
+    expected = []
+    for t in curve.times:
+        if t < 0.3:
+            product = kernel.expm(drifts[0], t) @ np.eye(3)
+        elif t < 0.7:
+            product = kernel.expm(drifts[1], t - 0.3) @ at_first
+        else:
+            product = kernel.expm(drifts[2], t - 0.7) @ at_second
+        expected.append(_scalar_norm(product))
+    assert np.array_equal(curve.values, np.array(expected))
+    stack = _Flow(schedule).at(curve.times)
+    assert np.array_equal(stack[curve.times == 0.7][0], at_second)
+
+
+def test_flow_chunks_match_scalar_calls_at_d16():
+    rng = np.random.default_rng(47)
+    cov = random_covariance(rng, 16)
+    pair = random_admissible_pair(rng, cov)
+    curve = norm_curve(pair, 5.0, 600)
+    assert len(curve.times) > 2 * (_CHUNK_ELEMENTS // 16**2)
+    expected = [_scalar_norm(kernel.expm(pair.whitened_drift, t) @ np.eye(16))
+                for t in curve.times]
+    assert np.array_equal(curve.values, np.array(expected))
+
+
+def test_lockstep_golden_section_matches_scalar_loop():
+    schedule = split_schedule(rotating_pair(11.0), 0.1)
+    flow = _Flow(schedule)
+    rate = 1.0
+
+    def objective(t):
+        return rate * t + flow.log_norms(np.array([t]))[0]
+
+    def refine(a, b, steps=60):
+        x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        f1, f2 = objective(x1), objective(x2)
+        for _ in range(steps):
+            if f1 < f2:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + _GOLDEN * (b - a)
+                f2 = objective(x2)
+            else:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - _GOLDEN * (b - a)
+                f1 = objective(x1)
+        return (x1, f1) if f1 >= f2 else (x2, f2)
+
+    lo = np.array([0.05, 0.12, 0.3, 1.0])
+    hi = np.array([0.11, 0.2, 0.45, 1.3])
+    peak_t, peak_v = _golden_section(flow, rate, lo, hi)
+    expected = [refine(a, b) for a, b in zip(lo, hi)]
+    assert np.array_equal(peak_t, [t for t, _ in expected])
+    assert np.array_equal(peak_v, [v for _, v in expected])
 
 
 # ---------------------------------------------------------------- norm curve
