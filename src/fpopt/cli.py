@@ -51,10 +51,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _default_samples(args) -> int:
-    return args.samples or DEFAULT_SAMPLES
-
-
 def _positive(name: str, value) -> float:
     """``value`` as a float, or a parse failure unless it is a positive number."""
     try:
@@ -63,6 +59,16 @@ def _positive(name: str, value) -> float:
         raise ProblemFormatError(f"{name} must be a number, got {value!r}") from None
     if not value > 0:
         raise ProblemFormatError(f"{name} must be positive, got {value:g}")
+    return value
+
+
+def _samples(value) -> int:
+    """A grid size: ``DEFAULT_SAMPLES`` if not given, else an integer >= 2
+    or a parse failure."""
+    if value is None:
+        return DEFAULT_SAMPLES
+    if isinstance(value, bool) or not isinstance(value, int) or value < 2:
+        raise ProblemFormatError(f"samples must be an integer >= 2, got {value!r}")
     return value
 
 
@@ -116,8 +122,8 @@ def cmd_curve(args) -> int:
     t_max = args.tmax if args.tmax is not None else analysis.get("t_max")
     if t_max is None:
         t_max = 20.0 / rate
-    samples = args.samples or analysis.get("samples") or DEFAULT_SAMPLES
-    curve = norm_curve(source, _positive("t_max", t_max), int(samples), rate=rate)
+    samples = args.samples if args.samples is not None else analysis.get("samples")
+    curve = norm_curve(source, _positive("t_max", t_max), _samples(samples), rate=rate)
     if args.out:
         curve.write_csv(args.out)
     else:
@@ -135,7 +141,7 @@ def cmd_compare(args) -> int:
         schedules.append(source)
         labels.append(os.path.basename(path))
     rows = compare_schedules(schedules, _positive("rate", args.rate), labels=labels,
-                             samples=_default_samples(args))
+                             samples=_samples(args.samples))
     lines = ["id\tsharp_constant\tmax_drift_frobenius"]
     for row in rows:
         lines.append(f"{row.label}\t{row.sharp_constant:.17g}"
@@ -256,9 +262,10 @@ _FIGURE_BUILDERS = {
 
 
 def cmd_reproduce(args) -> int:
+    samples = _samples(args.samples)
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
-    manifest = _FIGURE_BUILDERS[args.figure](outdir, _default_samples(args))
+    manifest = _FIGURE_BUILDERS[args.figure](outdir, samples)
     manifest["version"] = __version__
     dump_json(manifest, os.path.join(outdir, f"{args.figure}_manifest.json"))
     return 0

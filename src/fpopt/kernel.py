@@ -3,8 +3,10 @@
 Everything here operates on plain float ``numpy`` arrays, allocates fresh
 outputs, and holds no state, so all functions are safe to call concurrently.
 The heavy lifting is delegated to LAPACK through numpy/scipy: the matrix
-exponential uses scipy's scaling-and-squaring Pade code, general spectra
-use the Hessenberg + shifted-QR path behind ``eigvals``.
+exponential at one time uses scipy's scaling-and-squaring Pade code; a
+stack of times shares one eigendecomposition of the matrix, with the Pade
+code as the fallback for (nearly) defective matrices; general spectra use
+the Hessenberg + shifted-QR path behind ``eigvals``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ SYM_TOL = 1e-12
 
 #: Singular values below RANK_TOL * sigma_max count as zero in rank tests.
 RANK_TOL = 1e-10
+
+#: Largest condition number of the eigenvector matrix for which
+#: :func:`expm_stack` exponentiates through the eigendecomposition.
+EIG_COND_MAX = 1e2
 
 
 def as_square(a) -> np.ndarray:
@@ -55,31 +61,64 @@ def antisymmetry_defect(a) -> float:
     return float(np.linalg.norm(a + a.T) / scale)
 
 
+def _times(t, ndim: int) -> np.ndarray:
+    """``t`` as a float array of ``ndim`` dimensions with finite nonnegative entries."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != ndim:
+        raise ValueError("times must be a scalar" if ndim == 0 else "times must be a 1-D array")
+    if not np.all(np.isfinite(t)) or np.any(t < 0):
+        raise ValueError("time must be finite and nonnegative")
+    return t
+
+
 def expm(a, t=1.0) -> np.ndarray:
-    """Decay propagator ``exp(-t a)``, or a stack of them.
+    """Decay propagator ``exp(-t a)`` for one nonnegative time ``t``.
 
     Mind the sign convention: this is the solution operator after time ``t``
     of the linear ODE ``dx/dt = -a x``, which is the only form the rest of
     the package needs.  Relative accuracy is at working precision for the
-    moderate ``||a t||`` arising here (scaling-and-squaring Pade).  A stack
-    runs the same per-matrix code as scalar calls, so each slice equals the
-    scalar result bit for bit.
-
-    Parameters
-    ----------
-    a
-        Square real matrix.
-    t
-        Nonnegative time, or a 1-D array of them; an array gives the stack
-        of ``exp(-t[k] a)`` along a new first axis.
+    moderate ``||a t||`` arising here (scipy's scaling-and-squaring Pade),
+    whatever the spectrum of ``a``, so this is the reference that
+    :func:`expm_stack` is checked against.
     """
     a = as_square(a)
-    t = np.asarray(t, dtype=float)
-    if t.ndim > 1:
-        raise ValueError("times must be a scalar or a 1-D array")
-    if not np.all(np.isfinite(t)) or np.any(t < 0):
-        raise ValueError("time must be finite and nonnegative")
-    return scipy.linalg.expm(-t[..., None, None] * a)
+    return scipy.linalg.expm(-_times(t, 0) * a)
+
+
+def expm_stack(a):
+    """Factor ``a`` once; return ``times -> stack of exp(-t a)``.
+
+    The returned callable takes a 1-D array of nonnegative times and gives
+    the stack of ``exp(-t[k] a)`` along a new first axis.  When the
+    eigenvector matrix ``V`` of ``a`` has condition number at most
+    ``EIG_COND_MAX``, every slice is ``(V exp(-t[k] lam)) V^{-1}``, one
+    numpy expression for the whole stack, accurate to about
+    ``cond(V) * eps``.  Otherwise (defective or nearly defective ``a``) it
+    falls back to scipy's scaling-and-squaring on the stack, whose slices
+    equal scalar :func:`expm` calls bit for bit.  Either way a zero time
+    gives the identity exactly.  The callable's ``factored`` attribute says
+    which path it takes.
+    """
+    a = as_square(a)
+    try:
+        lam, v = np.linalg.eig(a)
+        well_conditioned = np.linalg.cond(v) <= EIG_COND_MAX
+    except np.linalg.LinAlgError:
+        well_conditioned = False
+    if well_conditioned:
+        v_inv = np.linalg.inv(v)
+        eye = np.eye(a.shape[0])
+
+        def stack(t):
+            t = _times(t, 1)
+            out = ((v * np.exp(-t[:, None] * lam)[:, None, :]) @ v_inv).real
+            out[t == 0] = eye
+            return out
+    else:
+        def stack(t):
+            return scipy.linalg.expm(-_times(t, 1)[:, None, None] * a)
+    stack.factored = bool(well_conditioned)
+    return stack
 
 
 def spectral_norm(a) -> float:

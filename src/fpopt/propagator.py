@@ -104,19 +104,22 @@ def _as_schedule(source: Union[Schedule, CoefficientPair]) -> Schedule:
 class _Flow:
     """The package's one evaluator of T(t, start), over arrays of times.
 
-    Prefix products T(s, start) are cached at the switch times after
-    ``start``, so each time costs one matrix exponential.  Times are
-    evaluated in stacks of at most ``_CHUNK_ELEMENTS`` matrix entries.
+    Each segment's whitened drift is factored once, by
+    :func:`kernel.expm_stack`, which serves every time in that segment with
+    one stacked expression.  Prefix products T(s, start) are cached at the
+    switch times after ``start``.  Norms are the square roots of the top
+    eigenvalues of the Gram matrices ``T^T T``, taken in stacks of at most
+    ``_CHUNK_ELEMENTS`` matrix entries.
     """
 
     def __init__(self, schedule: Schedule, start: float = 0.0):
         first = int(np.searchsorted(schedule.switch_times, start, side="right"))
         self.starts = (float(start),) + schedule.switch_times[first:]
-        self.drifts = [p.whitened_drift for p in schedule.pairs[first:]]
+        self.exps = [kernel.expm_stack(p.whitened_drift) for p in schedule.pairs[first:]]
         self.dim = schedule.dim
         prefixes = [np.eye(self.dim)]
-        for drift, lo, hi in zip(self.drifts, self.starts, self.starts[1:]):
-            prefixes.append(kernel.expm(drift, hi - lo) @ prefixes[-1])
+        for exp, lo, hi in zip(self.exps, self.starts, self.starts[1:]):
+            prefixes.append(exp(np.array([hi - lo]))[0] @ prefixes[-1])
         self.prefixes = prefixes
 
     def at(self, times: np.ndarray) -> np.ndarray:
@@ -125,16 +128,17 @@ class _Flow:
         out = np.empty((len(times), self.dim, self.dim))
         for i in np.unique(segment):
             hit = segment == i
-            out[hit] = kernel.expm(self.drifts[i], times[hit] - self.starts[i]) @ self.prefixes[i]
+            out[hit] = self.exps[i](times[hit] - self.starts[i]) @ self.prefixes[i]
         return out
 
     def log_norms(self, times) -> np.ndarray:
         """``log ||T(t, start)||`` for each entry of a 1-D array of times."""
         step = max(1, _CHUNK_ELEMENTS // self.dim**2)
-        norms = np.empty(len(times))
+        gram_top = np.empty(len(times))
         for k in range(0, len(times), step):
-            norms[k:k + step] = np.linalg.norm(self.at(times[k:k + step]), 2, axis=(1, 2))
-        return np.log(norms)
+            m = self.at(times[k:k + step])
+            gram_top[k:k + step] = np.linalg.eigvalsh(np.swapaxes(m, 1, 2) @ m)[:, -1]
+        return 0.5 * np.log(gram_top)
 
 
 def propagator(source: Union[Schedule, CoefficientPair], t1: float, t2: float) -> np.ndarray:

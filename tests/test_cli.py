@@ -186,6 +186,21 @@ def test_curve_nonpositive_rate_or_horizon_exit_2(tmp_path, capsys):
         assert "rate" in err
 
 
+def test_curve_bad_grid_size_exit_2(tmp_path, capsys):
+    path = write_json(tmp_path / "p.json", anisotropic_doc({"pair": rotating_matrices(7.0)}))
+    for value in ("1", "0", "-3"):
+        code, out, err = run(capsys, "curve", path, "--rate", "1", "--samples", value)
+        assert code == 2
+        assert not out
+        assert "samples" in err
+    for samples in (1, 0, "abc", 2.5, True):
+        doc = anisotropic_doc({"pair": rotating_matrices(7.0), "analysis": {"samples": samples}})
+        code, out, err = run(capsys, "curve", write_json(tmp_path / "a.json", doc))
+        assert code == 2
+        assert not out
+        assert "samples" in err
+
+
 def test_curve_needs_pair_or_schedule(tmp_path, capsys):
     path = write_json(tmp_path / "p.json", {"K": {"diag": [1.0, 2.0]}, "c": 2.0})
     assert run(capsys, "curve", path)[0] == 2
@@ -231,6 +246,15 @@ def test_compare_nonpositive_rate_exit_2(tmp_path, capsys):
         assert code == 2
         assert not out
         assert "rate" in err
+
+
+def test_compare_bad_grid_size_exit_2(tmp_path, capsys):
+    path = write_json(tmp_path / "a.json", anisotropic_doc({"pair": rotating_matrices(7.0)}))
+    for value in ("1", "0"):
+        code, out, err = run(capsys, "compare", path, "--rate", "1", "--samples", value)
+        assert code == 2
+        assert not out
+        assert "samples" in err
 
 
 def test_compare_mixed_equilibria_exit_6(tmp_path, capsys):
@@ -286,6 +310,16 @@ def test_reproduce_fig4_manifest_switch_times(tmp_path, capsys):
     switches = manifest["switch_times"]
     assert switches["fp5"] == pytest.approx(0.1434, abs=1e-3)
     assert switches["fp6"] == 0.11413
+
+
+def test_reproduce_bad_grid_size_exit_2(tmp_path, capsys):
+    for value in ("1", "0"):
+        outdir = tmp_path / f"fig1_{value}"
+        code, _, err = run(capsys, "reproduce", "fig1", "--outdir", str(outdir),
+                           "--samples", value)
+        assert code == 2
+        assert "samples" in err
+        assert not outdir.exists()
 
 
 def test_reproduce_unknown_figure_exit_2(capsys):

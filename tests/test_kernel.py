@@ -5,6 +5,7 @@ import scipy.integrate
 from fpopt import (
     InvalidMatrix,
     expm,
+    expm_stack,
     general_eigenvalues,
     kalman_rank,
     spectral_norm,
@@ -69,19 +70,29 @@ def test_expm_rejects_nonfinite():
 
 
 def test_expm_time_array_is_stack_of_scalar_calls():
+    # the factored stack agrees with scipy's scalar exponential to rounding
     rng = np.random.default_rng(15)
     for dim in (2, 5):
         a = random_stable(rng, dim)
         times = np.concatenate(([0.0], rng.uniform(0.0, 4.0, size=9)))
-        stack = expm(a, times)
+        exp = expm_stack(a)
+        assert exp.factored
+        stack = exp(times)
         assert stack.shape == (10, dim, dim)
-        assert np.array_equal(stack, np.array([expm(a, t) for t in times]))
+        assert np.array_equal(stack[0], np.eye(dim))
+        np.testing.assert_allclose(stack, np.array([expm(a, t) for t in times]),
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_expm_time_array_rejects_bad_entries():
-    for times in ([0.5, -1e-3], [0.5, np.nan], [np.inf], [[0.5]]):
-        with pytest.raises(ValueError):
-            expm(np.eye(2), np.array(times))
+    defective = np.array([[0.0, -1.0], [1.0, 2.0]])
+    for a in (np.eye(2), defective):
+        exp = expm_stack(a)
+        for times in ([0.5, -1e-3], [0.5, np.nan], [np.inf], [[0.5]], 0.5):
+            with pytest.raises(ValueError):
+                exp(np.array(times))
+    with pytest.raises(ValueError):
+        expm(np.eye(2), np.array([0.5]))
 
 
 # ------------------------------------------------------- spectral_norm

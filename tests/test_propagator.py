@@ -115,6 +115,8 @@ def test_flow_three_pieces_matches_scalar_products():
     pairs = [random_admissible_pair(rng, cov) for _ in range(3)]
     switches = (0.3, 0.7)
     schedule = Schedule(pairs, switches)
+    flow = _Flow(schedule)
+    assert all(exp.factored for exp in flow.exps)
     curve = norm_curve(schedule, 2.0, 41)
     assert set(switches) <= set(curve.times)
     drifts = [p.whitened_drift for p in pairs]
@@ -129,20 +131,53 @@ def test_flow_three_pieces_matches_scalar_products():
         else:
             product = kernel.expm(drifts[2], t - 0.7) @ at_second
         expected.append(_scalar_norm(product))
-    assert np.array_equal(curve.values, np.array(expected))
-    stack = _Flow(schedule).at(curve.times)
-    assert np.array_equal(stack[curve.times == 0.7][0], at_second)
+    np.testing.assert_allclose(curve.values, expected, rtol=1e-12, atol=0)
+    stack = flow.at(curve.times)
+    np.testing.assert_allclose(stack[curve.times == 0.7][0], at_second, rtol=1e-12, atol=1e-15)
 
 
 def test_flow_chunks_match_scalar_calls_at_d16():
     rng = np.random.default_rng(47)
     cov = random_covariance(rng, 16)
     pair = random_admissible_pair(rng, cov)
+    assert _Flow(Schedule.constant(pair)).exps[0].factored
     curve = norm_curve(pair, 5.0, 600)
     assert len(curve.times) > 2 * (_CHUNK_ELEMENTS // 16**2)
     expected = [_scalar_norm(kernel.expm(pair.whitened_drift, t) @ np.eye(16))
                 for t in curve.times]
-    assert np.array_equal(curve.values, np.array(expected))
+    np.testing.assert_allclose(curve.values, expected, rtol=1e-12, atol=0)
+
+
+def test_flow_norms_match_mpmath_on_fast_rotation():
+    # independent 40-digit reference; ||C~ t|| reaches about 280 at t = 20
+    mpmath = pytest.importorskip("mpmath")
+    pair = rotating_pair(13.8)
+    flow = _Flow(Schedule.constant(pair))
+    assert flow.exps[0].factored
+    times = np.linspace(0.0, 20.0, 41)
+    values = np.exp(flow.log_norms(times))
+    with mpmath.workdps(40):
+        drift = mpmath.matrix(pair.whitened_drift.tolist())
+        reference = [float(max(mpmath.svd_r(mpmath.expm(-mpmath.mpf(t) * drift),
+                                            compute_uv=False)))
+                     for t in times]
+    np.testing.assert_allclose(values, reference, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("mu", [1.0, 1.0 + 1e-9])
+def test_flow_defective_drift_takes_scipy_path(mu):
+    # mu = 1 is the critically damped whitened drift [[0, -1], [1, 2]], with
+    # one eigenvector for its double eigenvalue; just above it, cond(V) ~ 1e4
+    pair = rotating_pair(mu)
+    drift = pair.whitened_drift
+    schedule = Schedule.constant(pair)
+    flow = _Flow(schedule)
+    assert not flow.exps[0].factored
+    times = np.array([0.0, 0.05, 0.4, 1.7, 6.0])
+    stack = flow.at(times)
+    assert np.array_equal(stack, np.array([kernel.expm(drift, t) for t in times]))
+    for t, product in zip(times, stack):
+        assert np.abs(product - integrate_flow(schedule, t)).max() <= 1e-8
 
 
 def test_lockstep_golden_section_matches_scalar_loop():
