@@ -19,7 +19,6 @@ from .errors import (
     NotAntisymmetric,
     NotApplicable2D,
     NotPSD,
-    NotPositiveStable,
     NotSymmetric,
     RateTooLarge,
     TraceBudgetExceeded,
@@ -92,7 +91,6 @@ __all__ = [
     "NotAntisymmetric",
     "NotApplicable2D",
     "NotPSD",
-    "NotPositiveStable",
     "NotSymmetric",
     "OptimalCertificate",
     "RANK_TOL",

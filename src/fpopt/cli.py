@@ -7,6 +7,9 @@ CSV), ``compare`` (rank schedules by sharp constant), and ``reproduce``
 input, 3 invalid envelope constant, 4 failed validation, 5 unsustainable
 envelope rate, 6 mixed equilibria.  No plotting here on purpose; every
 consumer gets deterministic CSV/JSON bytes.
+
+Figures are rows of one table, ``_FIGURES``: each entry only declares its
+figure's rows, and :func:`cmd_reproduce` alone knows the output layout.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ import sys
 import numpy as np
 
 from . import __version__, benchmarks
-from .construction import construct_optimal
+from .construction import VARIANTS, construct_optimal
 from .equilibrium import spectral_gap, validate_pair
 from .errors import FpoptError, InvalidConstant, MixedEquilibria, RateTooLarge
 from .propagator import (
     DEFAULT_SAMPLES,
+    NormCurve,
     Schedule,
     compare_schedules,
     norm_curve,
@@ -42,7 +46,6 @@ EXIT_VALIDATION = 4
 EXIT_RATE = 5
 EXIT_MIXED = 6
 
-FIGURES = ("fig1", "fig2", "fig3", "fig4")
 _FIGURE_T_MAX = 8.0
 
 
@@ -151,122 +154,105 @@ def cmd_compare(args) -> int:
 
 
 def _write_envelope_csv(path, times, values) -> None:
-    lines = ["t,value"]
-    lines.extend(f"{t:.17g},{v:.17g}" for t, v in zip(times, values))
+    rows = map("{:.17g},{:.17g}\n".format, times.tolist(), values.tolist())
     with open(path, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("t,value\n" + "".join(rows))
 
 
-def _reproduce_fig1(outdir: str, samples: int) -> dict:
+def _fig1(samples: int):
     """Three budgets on the benchmark equilibrium: curves, sharp envelopes,
     and the limiting pure-exponential curve."""
     cov = benchmarks.anisotropic_covariance()
-    times = np.linspace(0.0, _FIGURE_T_MAX, samples)
-    files = []
+    rows = []
     for c in (1.5, 2.0, 3.0):
         cert = construct_optimal(cov, c)
-        curve = norm_curve(cert.pair, _FIGURE_T_MAX, samples, rate=cert.rate)
-        name = f"fig1_norm_c{c:g}.csv"
-        curve.write_csv(os.path.join(outdir, name))
-        files.append({"file": name, "role": "norm_curve", "params": {"c": c, "rate": cert.rate}})
-        env_name = f"fig1_envelope_c{c:g}.csv"
-        _write_envelope_csv(os.path.join(outdir, env_name), times, c * np.exp(-cert.rate * times))
-        files.append({"file": env_name, "role": "envelope", "params": {"c": c, "rate": cert.rate}})
-    _write_envelope_csv(os.path.join(outdir, "fig1_limit.csv"), times, np.exp(-times))
-    files.append({"file": "fig1_limit.csv", "role": "limit", "params": {"rate": 1.0}})
-    return {"figure": "fig1", "eps": benchmarks.DEFAULT_EPS, "files": files}
+        params = {"c": c, "rate": cert.rate}
+        rows.append((f"fig1_norm_c{c:g}.csv", "norm_curve", params,
+                     norm_curve(cert.pair, _FIGURE_T_MAX, samples, rate=cert.rate)))
+        rows.append((f"fig1_envelope_c{c:g}.csv", "envelope", params, (c, cert.rate)))
+    rows.append(("fig1_limit.csv", "limit", {"rate": 1.0}, (1.0, 1.0)))
+    return rows, {}
 
 
-def _reproduce_fig2(outdir: str, samples: int) -> dict:
+def _fig2(samples: int):
     """Budget sqrt(2): the unit-spaced weight ladder (mu = 3) against the
     shifted ladder (mu = 7), plus the two symmetric baselines."""
     c = float(np.sqrt(2.0))
-    curves = {
-        "fig2_norm_mu3.csv": (benchmarks.rotating_pair(3.0), {"mu": 3.0, "c": c}),
-        "fig2_norm_mu7.csv": (benchmarks.rotating_pair(7.0), {"mu": 7.0}),
-        "fig2_norm_symmetric.csv": (benchmarks.symmetric_pair(), {}),
-        "fig2_norm_balanced.csv": (benchmarks.balanced_pair(), {}),
-    }
-    files = []
-    for name, (pair, params) in curves.items():
+    rows = []
+    for name, pair, params in (
+            ("fig2_norm_mu3.csv", benchmarks.rotating_pair(3.0), {"mu": 3.0, "c": c}),
+            ("fig2_norm_mu7.csv", benchmarks.rotating_pair(7.0), {"mu": 7.0}),
+            ("fig2_norm_symmetric.csv", benchmarks.symmetric_pair(), {}),
+            ("fig2_norm_balanced.csv", benchmarks.balanced_pair(), {})):
         gap = spectral_gap(pair)
-        curve = norm_curve(pair, _FIGURE_T_MAX, samples, rate=gap)
-        curve.write_csv(os.path.join(outdir, name))
-        files.append({"file": name, "role": "norm_curve", "params": {**params, "rate": gap}})
-    times = np.linspace(0.0, _FIGURE_T_MAX, samples)
-    _write_envelope_csv(os.path.join(outdir, "fig2_envelope.csv"), times, c * np.exp(-times))
-    files.append({"file": "fig2_envelope.csv", "role": "envelope", "params": {"c": c, "rate": 1.0}})
-    return {"figure": "fig2", "eps": benchmarks.DEFAULT_EPS, "files": files}
+        rows.append((name, "norm_curve", {**params, "rate": gap},
+                     norm_curve(pair, _FIGURE_T_MAX, samples, rate=gap)))
+    rows.append(("fig2_envelope.csv", "envelope", {"c": c, "rate": 1.0}, (c, 1.0)))
+    return rows, {}
 
 
-def _reproduce_fig3(outdir: str, samples: int) -> dict:
+def _fig3(samples: int):
     """The five initial-layer candidates, switch time 0.1, plus the sharp
     envelope of the constant reference case."""
     switch = 0.1
-    files = []
-    for label, schedule in benchmarks.case_schedules(switch).items():
-        curve = norm_curve(schedule, _FIGURE_T_MAX, samples, rate=1.0)
-        name = f"fig3_schedule_{label}.csv"
-        curve.write_csv(os.path.join(outdir, name))
-        files.append({"file": name, "role": "norm_curve",
-                      "params": {"case": label, "switch": switch, "rate": 1.0}})
+    rows = [(f"fig3_schedule_{label}.csv", "norm_curve",
+             {"case": label, "switch": switch, "rate": 1.0},
+             norm_curve(schedule, _FIGURE_T_MAX, samples, rate=1.0))
+            for label, schedule in benchmarks.case_schedules(switch).items()]
     reference = sharp_constant(benchmarks.rotating_pair(benchmarks.REFERENCE_MU), 1.0,
                                samples=samples)
-    times = np.linspace(0.0, _FIGURE_T_MAX, samples)
-    _write_envelope_csv(os.path.join(outdir, "fig3_envelope_fp1.csv"),
-                        times, reference * np.exp(-times))
-    files.append({"file": "fig3_envelope_fp1.csv", "role": "envelope",
-                  "params": {"constant": reference, "rate": 1.0}})
-    return {"figure": "fig3", "eps": benchmarks.DEFAULT_EPS, "switch": switch, "files": files}
+    rows.append(("fig3_envelope_fp1.csv", "envelope",
+                 {"constant": reference, "rate": 1.0}, (reference, 1.0)))
+    return rows, {"switch": switch}
 
 
-def _reproduce_fig4(outdir: str, samples: int) -> dict:
+def _fig4(samples: int):
     """Tangency-timed switching: the reference rotation against initial
     layers of mu = 11 (switched at its first tangency) and mu = 13.8."""
-    rate = 1.0
     fp5 = benchmarks.rotating_pair(11.0)
-    fp5_switch = tangency_time(fp5, rate, samples=samples)
+    fp5_switch = tangency_time(fp5, 1.0, samples=samples)
     cases = {
         "fp1": (Schedule.constant(benchmarks.rotating_pair(benchmarks.REFERENCE_MU)), None),
         "fp5": (benchmarks.split_schedule(fp5, fp5_switch), fp5_switch),
         "fp6": (benchmarks.split_schedule(benchmarks.rotating_pair(13.8),
                                           benchmarks.FAST_SWITCH), benchmarks.FAST_SWITCH),
     }
-    times = np.linspace(0.0, _FIGURE_T_MAX, samples)
-    files = []
-    switch_times = {}
+    rows = []
     for label, (schedule, switch) in cases.items():
-        curve = norm_curve(schedule, _FIGURE_T_MAX, samples, rate=rate)
-        name = f"fig4_schedule_{label}.csv"
-        curve.write_csv(os.path.join(outdir, name))
-        files.append({"file": name, "role": "norm_curve",
-                      "params": {"case": label, "switch": switch, "rate": rate,
-                                 "sharp_constant": curve.sharp_constant}})
-        env_name = f"fig4_envelope_{label}.csv"
-        _write_envelope_csv(os.path.join(outdir, env_name),
-                            times, curve.sharp_constant * np.exp(-rate * times))
-        files.append({"file": env_name, "role": "envelope",
-                      "params": {"constant": curve.sharp_constant, "rate": rate}})
-        if switch is not None:
-            switch_times[label] = switch
-    return {"figure": "fig4", "eps": benchmarks.DEFAULT_EPS,
-            "switch_times": switch_times, "files": files}
+        curve = norm_curve(schedule, _FIGURE_T_MAX, samples, rate=1.0)
+        rows.append((f"fig4_schedule_{label}.csv", "norm_curve",
+                     {"case": label, "switch": switch, "rate": 1.0,
+                      "sharp_constant": curve.sharp_constant}, curve))
+        rows.append((f"fig4_envelope_{label}.csv", "envelope",
+                     {"constant": curve.sharp_constant, "rate": 1.0},
+                     (curve.sharp_constant, 1.0)))
+    switch_times = {label: switch for label, (_, switch) in cases.items() if switch is not None}
+    return rows, {"switch_times": switch_times}
 
 
-_FIGURE_BUILDERS = {
-    "fig1": _reproduce_fig1,
-    "fig2": _reproduce_fig2,
-    "fig3": _reproduce_fig3,
-    "fig4": _reproduce_fig4,
-}
+#: Each figure's rows ``(file, role, params, data)`` and its extra manifest
+#: keys, as built for a grid size; ``data`` is a :class:`NormCurve` or an
+#: envelope's ``(constant, rate)``.
+_FIGURES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4}
 
 
 def cmd_reproduce(args) -> int:
     samples = _samples(args.samples)
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
-    manifest = _FIGURE_BUILDERS[args.figure](outdir, samples)
-    manifest["version"] = __version__
+    rows, extra = _FIGURES[args.figure](samples)
+    times = np.linspace(0.0, _FIGURE_T_MAX, samples)
+    for name, _, _, data in rows:
+        path = os.path.join(outdir, name)
+        if isinstance(data, NormCurve):
+            data.write_csv(path)
+        else:
+            constant, rate = data
+            _write_envelope_csv(path, times, constant * np.exp(-rate * times))
+    manifest = {"figure": args.figure, "eps": benchmarks.DEFAULT_EPS, **extra,
+                "files": [{"file": name, "role": role, "params": params}
+                          for name, role, params, _ in rows],
+                "version": __version__}
     dump_json(manifest, os.path.join(outdir, f"{args.figure}_manifest.json"))
     return 0
 
@@ -283,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="construct an optimal pair and print its certificate")
     p.add_argument("input", help="problem file (JSON)")
     p.add_argument("--budget", type=float, default=None, help="override the file's constant c")
-    p.add_argument("--variant", choices=("standard", "transpose"), default=None)
+    p.add_argument("--variant", choices=VARIANTS, default=None)
     p.add_argument("--out", default=None, help="write the certificate here instead of stdout")
     p.set_defaults(func=cmd_optimize)
 
@@ -307,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("reproduce", help="regenerate the bundled benchmark figure data")
-    p.add_argument("figure", choices=FIGURES)
+    p.add_argument("figure", choices=_FIGURES)
     p.add_argument("--outdir", default=".", help="directory for the CSV files and manifest")
     p.add_argument("--samples", type=int, default=None)
     p.set_defaults(func=cmd_reproduce)

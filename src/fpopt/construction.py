@@ -45,6 +45,9 @@ ISOTROPY_TOL = 1e-12
 #: max(target, 1).
 EQUIDIST_TOL = 1e-10
 
+#: The two members of the optimal family that :func:`construct_optimal` builds.
+VARIANTS = ("standard", "transpose")
+
 
 @dataclass(frozen=True)
 class EquidistributingBasis:
@@ -83,10 +86,15 @@ def equidistribute_basis(matrix) -> EquidistributingBasis:
     if eigs[0] < -1e-10 * max(1.0, float(np.abs(eigs).max())):
         raise NotPSD("can only equidistribute a positive semi-definite matrix")
     d = a.shape[0]
+    # Sweep a / scale, with scale the power of two that brings every entry
+    # below 1.  The division is exact, so the rotations are those of the
+    # unscaled sweep, but cb * cb - ca * cc below cannot overflow at large
+    # rates.  The tolerances are scaled with it.
+    scale = 2.0 ** np.frexp(float(np.abs(a).max()))[1]
+    a = a / scale
     tau = float(np.trace(a) / d)
     psi = np.eye(d)
-    a = a.copy()
-    pin_tol = 1e-13 * max(1.0, abs(tau))
+    pin_tol = 1e-13 * max(1.0 / scale, abs(tau))
     for p in range(d - 1):
         gap = a[p, p] - tau
         if abs(gap) <= pin_tol:
@@ -118,9 +126,9 @@ def equidistribute_basis(matrix) -> EquidistributingBasis:
         new_q = -s * psi[:, p] + c * psi[:, q]
         psi[:, p], psi[:, q] = new_p, new_q
     spread = float(np.abs(np.diag(a) - tau).max())
-    if spread > EQUIDIST_TOL * max(abs(tau), 1.0):
-        raise AssertionError(f"sweep left diagonal spread {spread:.3e}")
-    return EquidistributingBasis(vectors=psi, target=tau)
+    if spread > EQUIDIST_TOL * max(abs(tau), 1.0 / scale):
+        raise AssertionError(f"sweep left diagonal spread {spread * scale:.3e}")
+    return EquidistributingBasis(vectors=psi, target=tau * scale)
 
 
 class LyapunovWeights:
@@ -247,7 +255,7 @@ def construct_optimal(covariance: Covariance, budget: Optional[float] = None,
     spread below :data:`ISOTROPY_TOL`) the symmetric pair ``(K^{-1}, I)`` is
     returned: it is already optimal there, with constant 1.
     """
-    if variant not in ("standard", "transpose"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if weights is None:
         if budget is None:

@@ -170,13 +170,6 @@ class CoefficientPair:
     def dim(self) -> int:
         return self.covariance.dim
 
-    @property
-    def admissibility_defect(self) -> float:
-        """Stationarity residual relative to the natural scale of the pair."""
-        scale = (np.linalg.norm(self.drift) * np.linalg.norm(self.covariance.matrix)
-                 + np.linalg.norm(self.diffusion))
-        return self.stationarity_residual / max(scale, 1e-300)
-
     def __repr__(self):
         return (f"CoefficientPair(dim={self.dim}, trace_diffusion="
                 f"{self.trace_diffusion:.6g})")

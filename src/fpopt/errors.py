@@ -21,10 +21,6 @@ class NotPSD(FpoptError):
     """A matrix required to be positive (semi-)definite is not."""
 
 
-class NotPositiveStable(FpoptError):
-    """A drift matrix has an eigenvalue with non-positive real part."""
-
-
 class EigenFailure(FpoptError):
     """The nonsymmetric eigensolver did not converge; no silent fallback."""
 

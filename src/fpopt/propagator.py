@@ -183,11 +183,9 @@ class NormCurve:
 
     def write_csv(self, target) -> None:
         """Write ``t,norm,envelope`` rows with 17 significant digits."""
-        envelope = self.envelope
-        lines = ["t,norm,envelope"]
-        for t, v, e in zip(self.times, self.values, envelope):
-            lines.append(f"{t:.17g},{v:.17g},{e:.17g}")
-        payload = "\n".join(lines) + "\n"
+        rows = map("{:.17g},{:.17g},{:.17g}\n".format, self.times.tolist(),
+                   self.values.tolist(), self.envelope.tolist())
+        payload = "t,norm,envelope\n" + "".join(rows)
         if hasattr(target, "write"):
             target.write(payload)
         else:

@@ -16,12 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .construction import (
-    EquidistributingBasis,
-    LyapunovWeights,
-    OptimalCertificate,
-    construct_optimal,
-)
+from .construction import VARIANTS, OptimalCertificate, construct_optimal
 from .equilibrium import CoefficientPair, Covariance
 from .propagator import Schedule
 
@@ -139,6 +134,9 @@ def problem_from_dict(doc: dict) -> Problem:
                 switches.append(elapsed)
         schedule = Schedule(pairs, switches)
 
+    variant = doc.get("variant", "standard")
+    if variant not in VARIANTS:
+        raise ProblemFormatError(f"variant: expected one of {VARIANTS}, got {variant!r}")
     budget = doc.get("c")
     analysis = doc.get("analysis")
     if analysis is not None:
@@ -149,17 +147,25 @@ def problem_from_dict(doc: dict) -> Problem:
             analysis["t_max"] = analysis.pop("tMax")
     return Problem(covariance=covariance,
                    budget=None if budget is None else float(budget),
-                   variant=str(doc.get("variant", "standard")),
+                   variant=variant,
                    pair=pair, schedule=schedule, analysis=analysis)
 
 
 def load_problem(path) -> Problem:
+    """Read and decode a problem file.  Any malformed field, whether caught
+    by the schema checks or by numpy and the model constructors (a string
+    where a number belongs, a ragged matrix), is a :class:`ProblemFormatError`."""
     with open(path) as handle:
         try:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"{path}: invalid JSON ({exc})") from exc
-    return problem_from_dict(doc)
+    try:
+        return problem_from_dict(doc)
+    except ProblemFormatError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"{path}: {exc}") from exc
 
 
 def _listify(a: np.ndarray):
@@ -186,28 +192,6 @@ def certificate_to_dict(cert: OptimalCertificate) -> dict:
         "variant": cert.variant,
     }
     return doc
-
-
-def certificate_from_dict(doc: dict) -> OptimalCertificate:
-    """Rebuild a certificate emitted by :func:`certificate_to_dict`."""
-    covariance = Covariance(matrix_from_obj(doc["K"], "K"))
-    pair = CoefficientPair(covariance,
-                           matrix_from_obj(doc["C"], "C"),
-                           matrix_from_obj(doc["D"], "D"))
-    weights = doc.get("weights")
-    basis = matrix_from_obj(doc["basis"], "basis")
-    return OptimalCertificate(
-        pair=pair,
-        direction=np.asarray(doc["direction"], dtype=float),
-        basis=EquidistributingBasis(vectors=basis, target=float(doc["lambda_opt"])),
-        weights=None if weights is None else LyapunovWeights(np.asarray(weights, dtype=float)),
-        Q=matrix_from_obj(doc["Q"], "Q"),
-        P=matrix_from_obj(doc["P"], "P"),
-        budget=doc.get("c"),
-        constant=float(doc["constant"]),
-        rate=float(doc["lambda_opt"]),
-        variant=str(doc["variant"]),
-    )
 
 
 def dump_json(doc: dict, target) -> None:

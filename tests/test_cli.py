@@ -93,6 +93,34 @@ def test_optimize_parse_failures_exit_2(tmp_path, capsys):
     missing = write_json(tmp_path / "m.json", {"K": {"diag": [1.0, 2.0]}})
     assert run(capsys, "optimize", missing)[0] == 2
     assert run(capsys, "optimize", str(tmp_path / "absent.json"))[0] == 2
+    # rate 1e300: the drift overflows, which used to trip an assertion first
+    huge = write_json(tmp_path / "h.json", {"K": {"diag": [1e-300, 1.0]}, "c": 2.0})
+    code, _, err = run(capsys, "optimize", huge)
+    assert code == 2
+    assert "finite" in err
+
+
+MALFORMED = {
+    "budget_string": {"c": "abc"},
+    "diag_string": {"K": {"diag": "ab"}},
+    "ragged_K": {"K": [[1, 0], [0]]},
+    "duration_string": {"schedule": [{"construct": {"c": 1.5}, "duration": "x"},
+                                     {"construct": {"c": 2.0}}]},
+    "construct_budget_string": {"pair": {"construct": {"c": "abc"}}},
+    "construct_unknown_variant": {"pair": {"construct": {"c": 2, "variant": "sideways"}}},
+    "unknown_variant": {"variant": "sideways"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_documents_exit_2(tmp_path, capsys, case):
+    doc = {"K": {"diag": [1.0, 2.0]}, "c": 2.0, "pair": {"construct": {"c": 2.0}},
+           **MALFORMED[case]}
+    path = write_json(tmp_path / "p.json", doc)
+    for argv in (["optimize", path], ["validate", path], ["curve", path, "--samples", "64"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("fpopt: ")
 
 
 def test_optimize_roundtrip_validates(tmp_path, capsys):
@@ -268,45 +296,54 @@ def test_compare_mixed_equilibria_exit_6(tmp_path, capsys):
 
 # ---------------------------------------------------------------- reproduce
 
+def reproduce(capsys, tmp_path, figure, samples=64):
+    """Run ``reproduce`` and check its output against its manifest: the
+    manifest lists exactly the CSVs on disk, curves carry their header and
+    at least the grid, and each envelope starts at its constant."""
+    outdir = tmp_path / figure
+    assert run(capsys, "reproduce", figure, "--outdir", str(outdir),
+               "--samples", str(samples))[0] == 0
+    manifest = json.loads((outdir / f"{figure}_manifest.json").read_text())
+    assert manifest["figure"] == figure
+    assert "version" in manifest
+    csvs = sorted(p.name for p in outdir.iterdir() if p.suffix == ".csv")
+    assert sorted(entry["file"] for entry in manifest["files"]) == csvs
+    for entry in manifest["files"]:
+        header, *rows = (outdir / entry["file"]).read_text().splitlines()
+        if entry["role"] == "norm_curve":
+            assert header == "t,norm,envelope"
+            assert len(rows) >= samples
+            continue
+        assert header == "t,value"
+        assert len(rows) == samples
+        params = entry["params"]
+        start = 1.0 if entry["role"] == "limit" else params.get("c", params.get("constant"))
+        assert float(rows[0].split(",")[1]) == start
+    return csvs, manifest
+
+
 def test_reproduce_fig1_files(tmp_path, capsys):
-    outdir = tmp_path / "fig1"
-    code, _, _ = run(capsys, "reproduce", "fig1", "--outdir", str(outdir),
-                      "--samples", "64")
-    assert code == 0
-    names = sorted(p.name for p in outdir.iterdir())
-    csvs = [n for n in names if n.endswith(".csv")]
+    csvs, manifest = reproduce(capsys, tmp_path, "fig1")
     assert len(csvs) == 7
     assert "fig1_limit.csv" in csvs
-    manifest = json.loads((outdir / "fig1_manifest.json").read_text())
-    assert manifest["figure"] == "fig1"
     assert len(manifest["files"]) == 7
-    assert "version" in manifest
 
 
 def test_reproduce_fig2_files(tmp_path, capsys):
-    outdir = tmp_path / "fig2"
-    assert run(capsys, "reproduce", "fig2", "--outdir", str(outdir),
-               "--samples", "64")[0] == 0
-    csvs = sorted(p.name for p in outdir.iterdir() if p.suffix == ".csv")
+    csvs, _ = reproduce(capsys, tmp_path, "fig2")
     assert len(csvs) == 5
     assert {"fig2_norm_mu3.csv", "fig2_norm_mu7.csv", "fig2_envelope.csv"} <= set(csvs)
 
 
 def test_reproduce_fig3_files(tmp_path, capsys):
-    outdir = tmp_path / "fig3"
-    assert run(capsys, "reproduce", "fig3", "--outdir", str(outdir),
-               "--samples", "64")[0] == 0
-    csvs = sorted(p.name for p in outdir.iterdir() if p.suffix == ".csv")
+    csvs, _ = reproduce(capsys, tmp_path, "fig3")
     assert len(csvs) == 6
     assert {"fig3_schedule_fp1.csv", "fig3_schedule_fp5.csv",
             "fig3_envelope_fp1.csv"} <= set(csvs)
 
 
 def test_reproduce_fig4_manifest_switch_times(tmp_path, capsys):
-    outdir = tmp_path / "fig4"
-    assert run(capsys, "reproduce", "fig4", "--outdir", str(outdir),
-               "--samples", "64")[0] == 0
-    manifest = json.loads((outdir / "fig4_manifest.json").read_text())
+    _, manifest = reproduce(capsys, tmp_path, "fig4")
     switches = manifest["switch_times"]
     assert switches["fp5"] == pytest.approx(0.1434, abs=1e-3)
     assert switches["fp6"] == 0.11413

@@ -48,6 +48,24 @@ def test_equidistribute_random_psd():
     assert np.linalg.norm(basis.vectors.T @ basis.vectors - np.eye(5)) <= 1e-11
 
 
+def test_equidistribute_is_scale_free():
+    # power-of-two rescaling is exact, so the sweep picks the same rotations
+    # at large magnitudes instead of overflowing its quadratic (the pinning
+    # tolerance has an absolute floor, so tiny matrices count as pinned)
+    rng = np.random.default_rng(31)
+    g = rng.normal(size=(5, 5))
+    m = g @ g.T
+    base = equidistribute_basis(m)
+    for k in (-20, 40, 900):
+        scaled = equidistribute_basis(np.ldexp(m, k))
+        assert np.array_equal(scaled.vectors, base.vectors)
+        assert scaled.target == np.ldexp(base.target, k)
+    huge = np.diag([2e300, 0.0])
+    basis = equidistribute_basis(huge)
+    diag = np.diag(basis.vectors.T @ huge @ basis.vectors)
+    assert np.abs(diag / 1e300 - 1.0).max() <= 1e-12
+
+
 # ------------------------------------------------------------ weight ladders
 
 def test_arithmetic_weights_2d():

@@ -8,6 +8,7 @@ from fpopt import (
     Covariance,
     InvalidInterval,
     MixedEquilibria,
+    NormCurve,
     NotApplicable2D,
     RateTooLarge,
     Schedule,
@@ -257,6 +258,16 @@ def test_norm_curve_csv_format():
     assert float(first[0]) == 0.0
     assert float(first[1]) == 1.0
     assert float(first[2]) == pytest.approx(curve.sharp_constant)
+    # rows match a per-row numpy-scalar loop, special values included
+    big = np.finfo(float).max
+    special = np.array([0.0, -0.0, 5e-324, -2.2e-308, big, -big, np.nan, np.inf, -np.inf, 0.1])
+    odd = NormCurve(special, special[::-1].copy(), rate=0.0, sharp_constant=-1.0)
+    buffer = io.StringIO()
+    with np.errstate(all="ignore"):  # the envelope meets 0 * inf
+        odd.write_csv(buffer)
+        envelope = odd.envelope
+    rows = [f"{t:.17g},{v:.17g},{e:.17g}" for t, v, e in zip(odd.times, odd.values, envelope)]
+    assert buffer.getvalue() == "\n".join(["t,norm,envelope", *rows]) + "\n"
 
 
 # ------------------------------------------------------------ sharp constant
