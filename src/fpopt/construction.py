@@ -42,7 +42,7 @@ from .errors import DegenerateSchedule, InvalidConstant, NotPSD, NotSymmetric
 ISOTROPY_TOL = 1e-12
 
 #: Uniformity tolerance for the equidistributed diagonal, relative to
-#: max(target, 1).
+#: the target.
 EQUIDIST_TOL = 1e-10
 
 #: The two members of the optimal family that :func:`construct_optimal` builds.
@@ -89,12 +89,13 @@ def equidistribute_basis(matrix) -> EquidistributingBasis:
     # Sweep a / scale, with scale the power of two that brings every entry
     # below 1.  The division is exact, so the rotations are those of the
     # unscaled sweep, but cb * cb - ca * cc below cannot overflow at large
-    # rates.  The tolerances are scaled with it.
+    # rates.  The tolerances are relative to tau, which for a PSD matrix is
+    # at least its largest entry over d, so they hold at any magnitude.
     scale = 2.0 ** np.frexp(float(np.abs(a).max()))[1]
     a = a / scale
     tau = float(np.trace(a) / d)
     psi = np.eye(d)
-    pin_tol = 1e-13 * max(1.0 / scale, abs(tau))
+    pin_tol = 1e-13 * abs(tau)
     for p in range(d - 1):
         gap = a[p, p] - tau
         if abs(gap) <= pin_tol:
@@ -126,7 +127,7 @@ def equidistribute_basis(matrix) -> EquidistributingBasis:
         new_q = -s * psi[:, p] + c * psi[:, q]
         psi[:, p], psi[:, q] = new_p, new_q
     spread = float(np.abs(np.diag(a) - tau).max())
-    if spread > EQUIDIST_TOL * max(abs(tau), 1.0 / scale):
+    if spread > EQUIDIST_TOL * abs(tau):
         raise AssertionError(f"sweep left diagonal spread {spread * scale:.3e}")
     return EquidistributingBasis(vectors=psi, target=tau * scale)
 

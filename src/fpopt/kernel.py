@@ -4,15 +4,16 @@ Everything here operates on plain float ``numpy`` arrays, allocates fresh
 outputs, and holds no state, so all functions are safe to call concurrently.
 The heavy lifting is delegated to LAPACK through numpy/scipy: the matrix
 exponential at one time uses scipy's scaling-and-squaring Pade code; a
-stack of times shares one eigendecomposition of the matrix, with the Pade
-code as the fallback for (nearly) defective matrices; general spectra use
-the Hessenberg + shifted-QR path behind ``eigvals``.
+stack of times shares one real eigendecomposition of the matrix, with the
+Pade code as the fallback for (nearly) defective matrices; general spectra
+use the Hessenberg + shifted-QR path behind ``eigvals``.  ``scipy.linalg``
+is imported only by the two functions that call it, which keeps it out of
+the package's import time.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigenFailure, InvalidMatrix
 
@@ -45,20 +46,26 @@ def as_square(a) -> np.ndarray:
     return a
 
 
+def _relative_defect(a, sign: float) -> float:
+    """``||a + sign a^T|| / ||a||``, taken on ``a`` scaled by the power of
+    two that brings its largest entry to [0.5, 1): the scaling is exact and
+    keeps the norms from overflowing for entries beyond about 1e154."""
+    a = np.asarray(a, dtype=float)
+    largest = float(np.abs(a).max(initial=0.0))
+    if largest == 0.0:
+        return 0.0
+    a = np.ldexp(a, -np.frexp(largest)[1])
+    return float(np.linalg.norm(a + sign * a.T) / np.linalg.norm(a))
+
+
 def symmetry_defect(a) -> float:
     """Relative Frobenius distance ||a - a^T|| / ||a|| (0 for the zero matrix)."""
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(a - a.T) / scale)
+    return _relative_defect(a, -1.0)
 
 
 def antisymmetry_defect(a) -> float:
     """Relative Frobenius distance ||a + a^T|| / ||a|| (0 for the zero matrix)."""
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(a + a.T) / scale)
+    return _relative_defect(a, 1.0)
 
 
 def _times(t, ndim: int) -> np.ndarray:
@@ -81,6 +88,8 @@ def expm(a, t=1.0) -> np.ndarray:
     whatever the spectrum of ``a``, so this is the reference that
     :func:`expm_stack` is checked against.
     """
+    import scipy.linalg
+
     a = as_square(a)
     return scipy.linalg.expm(-_times(t, 0) * a)
 
@@ -89,33 +98,62 @@ def expm_stack(a):
     """Factor ``a`` once; return ``times -> stack of exp(-t a)``.
 
     The returned callable takes a 1-D array of nonnegative times and gives
-    the stack of ``exp(-t[k] a)`` along a new first axis.  When the
-    eigenvector matrix ``V`` of ``a`` has condition number at most
-    ``EIG_COND_MAX``, every slice is ``(V exp(-t[k] lam)) V^{-1}``, one
-    numpy expression for the whole stack, accurate to about
-    ``cond(V) * eps``.  Otherwise (defective or nearly defective ``a``) it
-    falls back to scipy's scaling-and-squaring on the stack, whose slices
-    equal scalar :func:`expm` calls bit for bit.  Either way a zero time
-    gives the identity exactly.  The callable's ``factored`` attribute says
-    which path it takes.
+    the stack of ``exp(-t[k] a)`` along a new first axis.  The
+    eigendecomposition of ``a`` is turned into a real one,
+    ``a = W B W^{-1}``: each conjugate pair ``alpha +- i beta`` with unit
+    eigenvector ``x +- i y`` contributes the columns ``sqrt(2) x`` and
+    ``sqrt(2) y`` of ``W`` and the block ``[[alpha, beta], [-beta, alpha]]``
+    of ``B``, and each real eigenvalue its unit eigenvector and itself.
+    The ``sqrt(2)`` makes ``W`` a unitary transform of the unit complex
+    eigenvector matrix ``V``, so ``cond(W) = cond(V)``.  Since
+    ``exp(-t B)`` is made of ``exp(-alpha t)`` times rotations by
+    ``beta t``, ``W exp(-t B) W^{-1}`` is a sum of fixed real terms, one
+    per eigenvalue, weighted by ``exp(-alpha t) cos(beta t)``,
+    ``exp(-alpha t) sin(beta t)`` or ``exp(-lambda t)``; the whole stack
+    is then one real matrix product of those weights with the terms.
+    When ``cond(W)`` is at most ``EIG_COND_MAX`` the slices are accurate
+    to about ``cond(W) * eps``; otherwise (defective or nearly defective
+    ``a``) the callable falls back to scipy's scaling-and-squaring on the
+    stack, whose slices equal scalar :func:`expm` calls bit for bit.
+    Either way a zero time gives the identity exactly.  The callable's
+    ``factored`` attribute says which path it takes.
     """
     a = as_square(a)
+    d = a.shape[0]
     try:
         lam, v = np.linalg.eig(a)
-        well_conditioned = np.linalg.cond(v) <= EIG_COND_MAX
+        upper, real = lam.imag > 0, lam.imag == 0
+        pairs = int(np.count_nonzero(upper))
+        x, y = np.sqrt(2.0) * v[:, upper].real, np.sqrt(2.0) * v[:, upper].imag
+        r = v[:, real].real
+        w = np.concatenate((x, y, r), axis=1)
+        well_conditioned = w.shape[1] == d and np.linalg.cond(w) <= EIG_COND_MAX
     except np.linalg.LinAlgError:
         well_conditioned = False
     if well_conditioned:
-        v_inv = np.linalg.inv(v)
-        eye = np.eye(a.shape[0])
+        w_inv = np.linalg.inv(w)
+        xt, yt, rt = w_inv[:pairs], w_inv[pairs:2 * pairs], w_inv[2 * pairs:]
+
+        def outer(columns, rows):
+            # k-th row: the flattened outer product of columns[:, k] and rows[k]
+            return (columns.T[:, :, None] * rows[:, None, :]).reshape(len(rows), d * d)
+
+        terms = np.concatenate((outer(x, xt) + outer(y, yt), outer(y, xt) - outer(x, yt),
+                                outer(r, rt)))
+        alpha, beta, lam_real = lam[upper].real, lam[upper].imag, lam[real].real
 
         def stack(t):
             t = _times(t, 1)
-            out = ((v * np.exp(-t[:, None] * lam)[:, None, :]) @ v_inv).real
-            out[t == 0] = eye
+            decay, phase = np.exp(-np.outer(t, alpha)), np.outer(t, beta)
+            weights = np.concatenate((decay * np.cos(phase), decay * np.sin(phase),
+                                      np.exp(-np.outer(t, lam_real))), axis=1)
+            out = (weights @ terms).reshape(len(t), d, d)
+            out[t == 0] = np.eye(d)
             return out
     else:
         def stack(t):
+            import scipy.linalg
+
             return scipy.linalg.expm(-_times(t, 1)[:, None, None] * a)
     stack.factored = bool(well_conditioned)
     return stack

@@ -8,7 +8,7 @@ curves like ``t -> ||T(t, 0)||`` and their sharp exponential envelopes are
 computable to working precision rather than merely estimable.  This module
 provides the schedule object, the propagator, sampled norm curves with CSV
 export, the sharp multiplicative constant at a given rate (supremum of
-``exp(rate t) ||T(t, 0)||`` with golden-section refinement), the 2D closed
+``exp(rate t) ||T(t, 0)||`` with slope-driven peak refinement), the 2D closed
 form for that constant, initial decay rates, and the pair of maximum
 initial decay.
 """
@@ -39,7 +39,14 @@ MIN_SCAN_SAMPLES = 2048
 #: for the true supremum (covers the coarse grid's undershoot at a peak).
 _PEAK_SLACK = 0.05
 
-_GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
+#: Cap on the lockstep peak-refinement steps.  A smooth peak takes about
+#: five secant steps; a kink is bisected, about 45 steps from a grid bracket
+#: down to the relative width below.
+_REFINE_STEPS = 200
+
+#: Relative bracket width (and step size) at which a refined peak is done;
+#: also the rounding level of the log norms, below which two are tied.
+_REFINE_RTOL = 8.0 * np.finfo(float).eps
 
 #: Matrix entries per stacked evaluation, which bounds the working memory of
 #: a curve at large d (2**16 doubles, 512 KiB, per stack of propagators).
@@ -104,41 +111,78 @@ def _as_schedule(source: Union[Schedule, CoefficientPair]) -> Schedule:
 class _Flow:
     """The package's one evaluator of T(t, start), over arrays of times.
 
-    Each segment's whitened drift is factored once, by
-    :func:`kernel.expm_stack`, which serves every time in that segment with
-    one stacked expression.  Prefix products T(s, start) are cached at the
-    switch times after ``start``.  Norms are the square roots of the top
-    eigenvalues of the Gram matrices ``T^T T``, taken in stacks of at most
-    ``_CHUNK_ELEMENTS`` matrix entries.
+    The flow runs on the shifted whitened drifts ``C~_i - shift I``, so
+    what it evaluates is the weighted propagator
+    ``M(t) = exp(shift (t - start)) T(t, start)``, and
+    ``log ||T(t, start)|| = -shift (t - start) + log ||M(t)||``.  With the
+    shift at the decay rate of interest, ``M`` stays of order one over any
+    horizon, so nothing it feeds (norms, their logarithms, the envelope
+    scan) ever sees a number near underflow.  Each segment's shifted drift
+    is factored once, by :func:`kernel.expm_stack`, which serves every time
+    in that segment with one stacked expression.  Prefix products
+    ``M(s)`` are cached at the switch times after ``start``.  Norms are
+    the square roots of the top eigenvalues of the Gram matrices
+    ``M^T M``, taken in stacks of at most ``_CHUNK_ELEMENTS`` matrix
+    entries.
     """
 
-    def __init__(self, schedule: Schedule, start: float = 0.0):
+    def __init__(self, schedule: Schedule, start: float = 0.0, shift: float = 0.0):
         first = int(np.searchsorted(schedule.switch_times, start, side="right"))
         self.starts = (float(start),) + schedule.switch_times[first:]
-        self.exps = [kernel.expm_stack(p.whitened_drift) for p in schedule.pairs[first:]]
+        self.shift = float(shift)
         self.dim = schedule.dim
+        self.drifts = np.array([p.whitened_drift - self.shift * np.eye(self.dim)
+                                for p in schedule.pairs[first:]])
+        self.exps = [kernel.expm_stack(a) for a in self.drifts]
         prefixes = [np.eye(self.dim)]
         for exp, lo, hi in zip(self.exps, self.starts, self.starts[1:]):
             prefixes.append(exp(np.array([hi - lo]))[0] @ prefixes[-1])
         self.prefixes = prefixes
 
     def at(self, times: np.ndarray) -> np.ndarray:
-        """Stack of T(t, start) for a 1-D array of times ``t >= start``."""
+        """Stack of the weighted M(t) for a 1-D array of times ``t >= start``."""
         segment = np.searchsorted(self.starts[1:], times, side="right")
         out = np.empty((len(times), self.dim, self.dim))
         for i in np.unique(segment):
             hit = segment == i
-            out[hit] = self.exps[i](times[hit] - self.starts[i]) @ self.prefixes[i]
+            m = self.exps[i](times[hit] - self.starts[i])
+            if i > 0:   # the first segment's prefix is the identity
+                m = (m.reshape(-1, self.dim) @ self.prefixes[i]).reshape(m.shape)
+            out[hit] = m
         return out
 
-    def log_norms(self, times) -> np.ndarray:
-        """``log ||T(t, start)||`` for each entry of a 1-D array of times."""
+    def _grams(self, times):
+        """``(offset, M, M^T M)`` over chunks of ``times``."""
         step = max(1, _CHUNK_ELEMENTS // self.dim**2)
-        gram_top = np.empty(len(times))
         for k in range(0, len(times), step):
             m = self.at(times[k:k + step])
-            gram_top[k:k + step] = np.linalg.eigvalsh(np.swapaxes(m, 1, 2) @ m)[:, -1]
+            yield k, m, np.swapaxes(m, 1, 2) @ m
+
+    def log_norms(self, times) -> np.ndarray:
+        """``log ||M(t)||`` for each entry of a 1-D array of times."""
+        gram_top = np.empty(len(times))
+        for k, _, gram in self._grams(times):
+            gram_top[k:k + len(gram)] = np.linalg.eigvalsh(gram)[:, -1]
         return 0.5 * np.log(gram_top)
+
+    def log_norms_and_slopes(self, times):
+        """``log ||M(t)||`` and its time derivative ``-u^T (C~ - shift I) u``.
+
+        ``u = M v / ||M v||`` is the top left singular vector, from the top
+        eigenvector ``v`` of the Gram matrix.  At a switch time the slope
+        is the right derivative, and where the top two singular values
+        cross it is the slope of the branch ``eigh`` picks.
+        """
+        segment = np.searchsorted(self.starts[1:], times, side="right")
+        logs, slopes = np.empty(len(times)), np.empty(len(times))
+        for k, m, gram in self._grams(times):
+            eigenvalues, vectors = np.linalg.eigh(gram)
+            u = (m @ vectors[:, :, -1:])[:, :, 0]
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            drift = self.drifts[segment[k:k + len(m)]]
+            logs[k:k + len(m)] = 0.5 * np.log(eigenvalues[:, -1])
+            slopes[k:k + len(m)] = -np.einsum("ni,nij,nj->n", u, drift, u)
+        return logs, slopes
 
 
 def propagator(source: Union[Schedule, CoefficientPair], t1: float, t2: float) -> np.ndarray:
@@ -202,6 +246,15 @@ def norm_curve(source: Union[Schedule, CoefficientPair], t_max: float,
     rate is computed as by :func:`sharp_constant` (exact for the periodic
     2D curves, a lower bound in higher dimension), and the first tangency
     point, if it falls inside ``[0, t_max]``, is added to the grid.
+
+    Every grid point is evaluated once.  With a rate, the curve reuses the
+    envelope scan's values at every time the scan evaluated, its grid and
+    its refined peaks: when ``t_max`` is the scan horizon and ``samples`` at
+    least ``MIN_SCAN_SAMPLES`` (the default ``t_max = 20 / rate``), that is
+    the whole grid, the tangency point included.  The values come from the
+    flow weighted at ``rate``, or at the spectral gap of the final pair
+    when no rate is given, so they keep their relative accuracy down to
+    the smallest normal double.
     """
     schedule = _as_schedule(source)
     if not t_max > 0:
@@ -211,44 +264,90 @@ def norm_curve(source: Union[Schedule, CoefficientPair], t_max: float,
     grid = np.linspace(0.0, float(t_max), int(samples))
     extra = [s for s in schedule.switch_times if 0.0 < s < t_max]
     constant = None
-    if rate is not None:
+    if rate is None:
+        gap = kernel.spectral_abscissa_gap(schedule.asymptotic_pair.whitened_drift)
+        flow = _Flow(schedule, shift=gap)
+    else:
         scan = _scan_envelope(schedule, float(rate), t_max=None, samples=samples)
+        flow = scan.flow
         constant = float(np.exp(scan.log_sup))
         if 0.0 < scan.first_t < t_max:
             extra.append(scan.first_t)
     if extra:
         grid = np.unique(np.concatenate((grid, np.asarray(extra))))
-    values = np.exp(_Flow(schedule).log_norms(grid))
+    log_weighted = np.empty(len(grid))
+    fresh = np.ones(len(grid), dtype=bool)
+    if rate is not None:   # reuse the scan's values wherever it has them
+        at = np.minimum(np.searchsorted(scan.times, grid), len(scan.times) - 1)
+        fresh = scan.times[at] != grid
+        log_weighted[~fresh] = scan.log_norms[at[~fresh]]
+    log_weighted[fresh] = flow.log_norms(grid[fresh])
+    values = np.exp(log_weighted - flow.shift * grid)
     return NormCurve(times=grid, values=values, rate=rate, sharp_constant=constant)
 
 
 class _ScanResult(NamedTuple):
     log_sup: float      # log of the supremum of exp(rate t) ||T(t, 0)||
     first_t: float      # earliest refined peak attaining the supremum
+    times: np.ndarray   # every time evaluated: the grid and the refined peaks, sorted
+    log_norms: np.ndarray   # log(exp(rate t) ||T(t, 0)||) at those times
+    flow: _Flow         # the evaluator, weighted at the rate
 
 
-def _golden_section(flow: _Flow, rate: float, lo: np.ndarray, hi: np.ndarray,
-                    steps: int = 60):
-    """Maximise rate*t + log||T(t,0)|| on every bracket [lo[k], hi[k]].
+def _refine_peaks(flow: _Flow, grid: np.ndarray, values: np.ndarray, centres: np.ndarray):
+    """Maximise ``log ||M(t)||`` near each grid peak ``grid[centres]``.
 
-    All brackets step in lockstep, one stacked evaluation per step; returns
-    the arrays of maximisers and maxima.
+    ``values`` are the log norms on ``grid``.  Each peak is bracketed by
+    its grid neighbours, where the slope is taken to be positive on the
+    left and negative on the right, and all brackets run one safeguarded
+    root-find on the analytic slope in lockstep, one stacked evaluation per
+    step, on the brackets still open.  The first step is a Newton step from
+    the vertex of the parabola through the three grid values, with that
+    parabola's curvature; later steps are secant steps through the last
+    two iterates.  As in Brent's method, a step that would leave its
+    bracket, or is not under half the step before last, bisects instead,
+    so the sign bisection also closes on a kink, where the top two
+    singular values cross or at a switch time.
+    Returns the arrays of maximisers and maxima: the best point evaluated
+    in each bracket, the grid peak included, ties within rounding going to
+    the later iterate.
     """
-    objective = lambda t: rate * t + flow.log_norms(t)
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = np.split(objective(np.concatenate((x1, x2))), 2)
-    for _ in range(steps):
-        right = f1 < f2         # the maximum lies in [x1, b]
-        a = np.where(right, x1, a)
-        b = np.where(right, b, x2)
-        new = np.where(right, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
-        f_new = objective(new)
-        x1, f1, x2, f2 = (np.where(right, x2, new), np.where(right, f2, f_new),
-                          np.where(right, new, x1), np.where(right, f_new, f1))
-    left = f1 >= f2
-    return np.where(left, x1, x2), np.where(left, f1, f2)
+    lo, mid, hi = grid[centres - 1], grid[centres], grid[centres + 1]
+    f_lo, f_mid, f_hi = values[centres - 1], values[centres], values[centres + 1]
+    left, right = (f_mid - f_lo) / (mid - lo), (f_hi - f_mid) / (hi - mid)
+    curvature = 2.0 * (right - left) / (hi - lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = 0.5 * (mid + hi) - right / curvature
+    x = np.where((lo < x) & (x < hi), x, mid)
+    a, b = lo.copy(), hi.copy()
+    best_t, best_f = mid.copy(), f_mid.copy()
+    x_prev, g_prev = np.full_like(x, np.nan), np.full_like(x, np.nan)
+    moved, moved_before = np.full_like(x, np.inf), np.full_like(x, np.inf)
+    open_ = np.ones(len(x), dtype=bool)
+    for _ in range(_REFINE_STEPS):
+        k = np.flatnonzero(open_)
+        if not k.size:
+            break
+        xk = x[k]
+        f, g = flow.log_norms_and_slopes(xk)
+        # within rounding of the best value so far, the later iterate is the
+        # better location: the root-finder converges, f is flat at a peak
+        better = f >= best_f[k] - _REFINE_RTOL
+        best_t[k[better]], best_f[k[better]] = xk[better], f[better]
+        rising = g > 0
+        a[k] = np.where(rising, xk, a[k])
+        b[k] = np.where(rising, b[k], xk)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dg = np.where(np.isnan(x_prev[k]), curvature[k], (g - g_prev[k]) / (xk - x_prev[k]))
+            step = -g / dg
+        tol = _REFINE_RTOL * b[k]
+        inside = (a[k] < xk + step) & (xk + step < b[k])
+        open_[k] = (g != 0) & (b[k] - a[k] > tol) & (np.abs(step) > tol)
+        bisect = ~inside | (np.abs(step) > 0.5 * moved_before[k])
+        new = np.where(bisect, 0.5 * (a[k] + b[k]), xk + step)
+        moved_before[k], moved[k] = moved[k], np.abs(new - xk)
+        x_prev[k], g_prev[k], x[k] = xk, g, new
+    return best_t, best_f
 
 
 def _scan_envelope(schedule: Schedule, rate: float, t_max: Optional[float],
@@ -275,8 +374,9 @@ def _scan_envelope(schedule: Schedule, rate: float, t_max: Optional[float],
     interior = [s for s in schedule.switch_times if s < horizon]
     if interior:
         grid = np.unique(np.concatenate((grid, np.asarray(interior))))
-    flow = _Flow(schedule)
-    logg = rate * grid + flow.log_norms(grid)
+    # weighted at the rate, the flow's log norms are log(exp(rate t) ||T||)
+    flow = _Flow(schedule, shift=rate)
+    logg = flow.log_norms(grid)
 
     # Genuine local maxima only: a rise below the noise floor of the log
     # values is sampling noise on a flat stretch, not a peak worth refining.
@@ -286,7 +386,7 @@ def _scan_envelope(schedule: Schedule, rate: float, t_max: Optional[float],
     i_best = int(np.argmax(logg))
     if 0 < i_best < len(grid) - 1:
         brackets = np.union1d(brackets, [i_best])
-    peak_t, peak_v = _golden_section(flow, rate, grid[brackets - 1], grid[brackets + 1])
+    peak_t, peak_v = _refine_peaks(flow, grid, logg, brackets)
     ts = np.concatenate(([grid[0], grid[-1]], peak_t))
     vs = np.concatenate(([logg[0], logg[-1]], peak_v))
 
@@ -302,7 +402,11 @@ def _scan_envelope(schedule: Schedule, rate: float, t_max: Optional[float],
             "(weighted curve keeps growing)")
 
     log_sup = vs.max()
-    return _ScanResult(log_sup=log_sup, first_t=ts[vs >= log_sup - 1e-9].min())
+    evaluated = np.concatenate((grid, peak_t))
+    order = np.argsort(evaluated, kind="stable")
+    return _ScanResult(log_sup=log_sup, first_t=ts[vs >= log_sup - 1e-9].min(),
+                       times=evaluated[order], log_norms=np.concatenate((logg, peak_v))[order],
+                       flow=flow)
 
 
 def sharp_constant(source: Union[Schedule, CoefficientPair], rate: float,
@@ -311,10 +415,12 @@ def sharp_constant(source: Union[Schedule, CoefficientPair], rate: float,
     """Minimal ``c`` with ``||T(t, 0)|| <= c exp(-rate t)`` for all ``t >= 0``.
 
     Computed as the supremum of ``exp(rate t) ||T(t, 0)||`` over a dense
-    grid on ``[0, horizon]`` (plus the schedule's switch times) with
-    golden-section refinement around each competitive local maximum.  The
-    default horizon is ``max(20/rate, 4 * last switch)``; an explicit
-    ``t_max`` shorter than ``20/rate`` is rejected.
+    grid on ``[0, horizon]`` (plus the schedule's switch times) with a
+    safeguarded root-find on the analytic slope around each competitive
+    local maximum.  The default horizon is ``max(20/rate, 4 * last
+    switch)``; an explicit ``t_max`` shorter than ``20/rate`` is rejected.
+    The weighted curve is evaluated as such, so the horizon may be any
+    multiple of ``1/rate``.
 
     The result is exact when the weighted curve is periodic after the last
     switch, as for the 2D rotating pairs and the schedules ending in one:

@@ -195,8 +195,8 @@ def certificate_to_dict(cert: OptimalCertificate) -> dict:
 
 
 def dump_json(doc: dict, target) -> None:
-    """Deterministic JSON output: sorted keys, two-space indent, newline."""
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON output: compact, sorted keys, one final newline."""
+    payload = json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
     if hasattr(target, "write"):
         target.write(payload)
     else:

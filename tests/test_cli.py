@@ -181,6 +181,19 @@ def test_curve_csv_shape_and_t0_row(tmp_path, capsys):
     assert np.min(rows[:, 2] / rows[:, 1]) <= 1.0 + 1e-6
 
 
+def test_curve_keeps_relative_accuracy_at_long_horizon(tmp_path, capsys):
+    # ||T(400)|| is about 2e-174: its Gram matrix would underflow, the
+    # flow weighted at the rate does not (40-digit mpmath reference)
+    path = write_json(tmp_path / "p.json", anisotropic_doc({"pair": rotating_matrices(7.0)}))
+    out_csv = tmp_path / "curve.csv"
+    code, _, _ = run(capsys, "curve", path, "--rate", "1", "--tmax", "400",
+                     "--samples", "64", "--out", str(out_csv))
+    assert code == 0
+    t, norm, _ = (float(x) for x in out_csv.read_text().strip().split("\n")[-1].split(","))
+    assert t == 400.0
+    assert norm == pytest.approx(2.024917437568303e-174, rel=1e-12, abs=0)
+
+
 def test_curve_deterministic_output(tmp_path, capsys):
     doc = anisotropic_doc({"pair": rotating_matrices(7.0),
                            "analysis": {"rate": 1.0, "t_max": 4.0, "samples": 100}})

@@ -50,13 +50,13 @@ def test_equidistribute_random_psd():
 
 def test_equidistribute_is_scale_free():
     # power-of-two rescaling is exact, so the sweep picks the same rotations
-    # at large magnitudes instead of overflowing its quadratic (the pinning
-    # tolerance has an absolute floor, so tiny matrices count as pinned)
+    # at large magnitudes instead of overflowing its quadratic, and its
+    # tolerances are relative to the target, so at tiny magnitudes too
     rng = np.random.default_rng(31)
     g = rng.normal(size=(5, 5))
     m = g @ g.T
     base = equidistribute_basis(m)
-    for k in (-20, 40, 900):
+    for k in (-900, -60, -20, 40, 900):
         scaled = equidistribute_basis(np.ldexp(m, k))
         assert np.array_equal(scaled.vectors, base.vectors)
         assert scaled.target == np.ldexp(base.target, k)
@@ -221,6 +221,16 @@ def test_construction_survives_ill_conditioning():
         for t in grid:
             assert np.exp(rate * t) * spectral_norm(expm(pair.whitened_drift, t)) \
                 <= 1.5 + 1e-8
+
+
+def test_construction_validates_at_large_and_small_scales():
+    # K = diag(1e14, 2e14) whitens to a diffusion of entries near 1e-14,
+    # which an absolute pinning floor once left in the identity basis
+    for variances in ([1e14, 2e14], [1e-14, 3e-14, 2e-14], [1e10, 5e10, 2e10, 3e10]):
+        cert = construct_optimal(Covariance(np.array(variances)), 2.0)
+        diag = np.diag(cert.basis.vectors.T @ cert.pair.whitened_diffusion @ cert.basis.vectors)
+        assert np.abs(diag / cert.basis.target - 1.0).max() <= 1e-10
+        assert validate_pair(cert.pair).passed
 
 
 def test_construct_rejects_bad_budget():

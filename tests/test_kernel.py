@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.integrate
 
+import fpopt
 from fpopt import (
     InvalidMatrix,
     expm,
@@ -10,6 +15,7 @@ from fpopt import (
     kalman_rank,
     spectral_norm,
 )
+from fpopt.kernel import antisymmetry_defect, symmetry_defect
 from helpers import random_stable
 
 
@@ -84,6 +90,23 @@ def test_expm_time_array_is_stack_of_scalar_calls():
                                    rtol=1e-12, atol=1e-12)
 
 
+def test_expm_stack_real_blocks_match_scalar_calls():
+    # two real eigenvalues and two conjugate pairs, in a random orthogonal
+    # basis: the real-block stack agrees with scipy's scalar exponential
+    rng = np.random.default_rng(16)
+    blocks = np.zeros((6, 6))
+    blocks[0, 0], blocks[1, 1] = 0.5, 3.0
+    blocks[2:4, 2:4] = [[1.0, 7.0], [-7.0, 1.0]]
+    blocks[4:, 4:] = [[2.0, -0.3], [0.3, 2.0]]
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    a = q @ blocks @ q.T
+    exp = expm_stack(a)
+    assert exp.factored
+    times = np.concatenate(([0.0], rng.uniform(0.0, 6.0, size=9)))
+    np.testing.assert_allclose(exp(times), np.array([expm(a, t) for t in times]),
+                               rtol=1e-12, atol=1e-14)
+
+
 def test_expm_time_array_rejects_bad_entries():
     defective = np.array([[0.0, -1.0], [1.0, 2.0]])
     for a in (np.eye(2), defective):
@@ -93,6 +116,28 @@ def test_expm_time_array_rejects_bad_entries():
                 exp(np.array(times))
     with pytest.raises(ValueError):
         expm(np.eye(2), np.array([0.5]))
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.linalg is imported by the two functions that use it, on first call
+    src = os.path.dirname(os.path.dirname(fpopt.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, fpopt; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
+# ------------------------------------------------------- symmetry defects
+
+def test_symmetry_defects_at_extreme_magnitudes():
+    # the norms are taken after an exact power-of-two rescaling, so neither
+    # overflow (entries near 1e300) nor underflow (near 1e-300) gives nan
+    for scale in (1e300, 1.0, 1e-300):
+        a = scale * np.array([[1.0, 1.0], [-1.0, 1.0]])
+        assert symmetry_defect(a) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert antisymmetry_defect(a) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert symmetry_defect(scale * np.eye(2)) == 0.0
+    assert symmetry_defect(np.zeros((2, 2))) == 0.0
 
 
 # ------------------------------------------------------- spectral_norm

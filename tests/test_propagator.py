@@ -29,7 +29,7 @@ from fpopt import (
 )
 from fpopt import kernel
 from fpopt.benchmarks import case_pairs, rotating_pair, split_schedule, symmetric_pair
-from fpopt.propagator import _CHUNK_ELEMENTS, _GOLDEN, _Flow, _golden_section
+from fpopt.propagator import _CHUNK_ELEMENTS, _Flow, _refine_peaks
 from helpers import integrate_flow, random_admissible_pair, random_covariance
 
 
@@ -165,6 +165,21 @@ def test_flow_norms_match_mpmath_on_fast_rotation():
     np.testing.assert_allclose(values, reference, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("rate", [None, 1.0])
+def test_curve_norms_match_mpmath_at_long_horizons(rate):
+    # ||T(t)|| near 2e-174 and 1e-304 at t * rate = 400 and 700: the flow is
+    # weighted at the rate, or at the spectral gap without one
+    mpmath = pytest.importorskip("mpmath")
+    pair = rotating_pair(7.0)
+    with mpmath.workdps(40):
+        drift = mpmath.matrix(pair.whitened_drift.tolist())
+        for t_max in (400.0, 700.0):
+            curve = norm_curve(pair, t_max, 2, rate=rate)
+            assert curve.times[-1] == t_max
+            exact = max(mpmath.svd_r(mpmath.expm(-mpmath.mpf(t_max) * drift), compute_uv=False))
+            assert curve.values[-1] == pytest.approx(float(exact), rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("mu", [1.0, 1.0 + 1e-9])
 def test_flow_defective_drift_takes_scipy_path(mu):
     # mu = 1 is the critically damped whitened drift [[0, -1], [1, 2]], with
@@ -181,37 +196,105 @@ def test_flow_defective_drift_takes_scipy_path(mu):
         assert np.abs(product - integrate_flow(schedule, t)).max() <= 1e-8
 
 
-def test_lockstep_golden_section_matches_scalar_loop():
-    schedule = split_schedule(rotating_pair(11.0), 0.1)
-    flow = _Flow(schedule)
+_GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
+
+
+def _golden_section(objective, a, b, steps=60):
+    # scalar golden-section maximisation, the reference for peak refinement
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = objective(x1), objective(x2)
+    for _ in range(steps):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = objective(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = objective(x1)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
+def _kink_schedule(switch):
+    # slow symmetric decay (the weighted norm rises at slope 0.95), then a
+    # pair dissipating along the grown direction (slope -1 right after the
+    # switch): the weighted norm has a corner maximum at the switch
+    cov = Covariance(np.eye(2))
+    slow = make_pair(cov, np.diag([0.05, 1.95]), np.zeros((2, 2)))
+    damped = make_pair(cov, np.diag([2.0, 0.0]), np.array([[0.0, 3.0], [-3.0, 0.0]]))
+    return Schedule([slow, damped], [switch])
+
+
+@pytest.mark.parametrize("case", ["smooth", "kink", "straddle"])
+def test_peak_refinement_matches_golden_section_and_mpmath(case):
+    mpmath = pytest.importorskip("mpmath")
     rate = 1.0
+    if case == "smooth":      # peaks of the mu = 11 rotation, before and after its switch
+        switch, schedule = 0.1, split_schedule(rotating_pair(11.0), 0.1)
+        grid = np.array([0.13, 0.14, 0.15, 0.55, 0.56, 0.57])
+    elif case == "kink":      # the corner at the switch lies between grid points
+        switch = 0.3
+        schedule = _kink_schedule(switch)
+        grid = np.array([0.297, 0.299, 0.304])
+    else:                     # a smooth peak at t = 0.1533, the bracket holds the switch at 0.14
+        switch, schedule = 0.14, split_schedule(rotating_pair(11.0), 0.14)
+        grid = np.array([0.135, 0.15, 0.16])
+    flow = _Flow(schedule, shift=rate)
+    values = flow.log_norms(grid)
+    centres = np.arange(1, len(grid), 3)
+    peak_t, peak_v = _refine_peaks(flow, grid, values, centres)
 
     def objective(t):
-        return rate * t + flow.log_norms(np.array([t]))[0]
+        return flow.log_norms(np.array([t]))[0]
 
-    def refine(a, b, steps=60):
-        x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-        f1, f2 = objective(x1), objective(x2)
-        for _ in range(steps):
-            if f1 < f2:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + _GOLDEN * (b - a)
-                f2 = objective(x2)
+    drifts = [mpmath.matrix(p.whitened_drift.tolist()) for p in schedule.pairs]
+    for c, t, v in zip(centres, peak_t, peak_v):
+        golden_t, golden_v = _golden_section(objective, grid[c - 1], grid[c + 1])
+        # the golden section locates a smooth peak to about sqrt(eps) only
+        assert abs(t - golden_t) <= 1e-7
+        assert golden_v <= v + 1e-15
+        assert abs(v - golden_v) <= 1e-13
+        with mpmath.workdps(40):
+            t_mp = mpmath.mpf(float(t))
+            if t < switch:
+                product = mpmath.expm(-t_mp * drifts[0])
             else:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - _GOLDEN * (b - a)
-                f1 = objective(x1)
-        return (x1, f1) if f1 >= f2 else (x2, f2)
-
-    lo = np.array([0.05, 0.12, 0.3, 1.0])
-    hi = np.array([0.11, 0.2, 0.45, 1.3])
-    peak_t, peak_v = _golden_section(flow, rate, lo, hi)
-    expected = [refine(a, b) for a, b in zip(lo, hi)]
-    assert np.array_equal(peak_t, [t for t, _ in expected])
-    assert np.array_equal(peak_v, [v for _, v in expected])
+                product = (mpmath.expm(-(t_mp - switch) * drifts[1])
+                           * mpmath.expm(-mpmath.mpf(switch) * drifts[0]))
+            exact = float(rate * t_mp + mpmath.log(max(mpmath.svd_r(product, compute_uv=False))))
+        assert abs(v - exact) <= 1e-13 * abs(exact)
+    if case == "kink":
+        assert abs(peak_t[0] - switch) <= 1e-14
+    if case == "straddle":
+        assert switch < peak_t[0] < grid[2]
 
 
 # ---------------------------------------------------------------- norm curve
+
+def test_norm_curve_evaluates_each_grid_point_once(monkeypatch):
+    # the default curve at a rate shares the envelope scan's grid: the scan
+    # evaluates it and the refinement a few off-grid points per peak, the
+    # first tangency among them, and the curve evaluates nothing more
+    rng = np.random.default_rng(48)
+    cert = construct_optimal(random_covariance(rng, 6), 2.0)
+    evaluated = []
+    factor = kernel.expm_stack
+
+    def counting_stack(a):
+        stack = factor(a)
+
+        def counted(t):
+            evaluated.append(np.array(t, dtype=float))
+            return stack(t)
+        return counted
+
+    monkeypatch.setattr(kernel, "expm_stack", counting_stack)
+    curve = norm_curve(cert.pair, 20.0 / cert.rate, rate=cert.rate)
+    times, counts = np.unique(np.concatenate(evaluated), return_counts=True)
+    assert np.all(counts == 1)
+    assert np.all(np.isin(curve.times, times))
+    assert len(times) - len(curve.times) < 0.02 * len(curve.times)   # the peak refinement's
+
 
 def test_norm_curve_symmetric_pair_explicit():
     cov = Covariance(np.array([1.0, 2.0]))
@@ -314,6 +397,13 @@ def test_weighted_curve_touches_high_rotation_limit():
         t = k * np.pi / omega
         assert np.exp(t) * spectral_norm(expm(pair.whitened_drift, t)) \
             == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("t_max", [370.0, 500.0, 5000.0])
+def test_sharp_constant_holds_at_long_horizons(t_max):
+    # the weighted flow keeps exp(t) ||T(t)|| of order one at any horizon
+    assert sharp_constant(rotating_pair(7.0), 1.0, t_max=t_max) \
+        == pytest.approx(np.sqrt(4.0 / 3.0), rel=1e-12)
 
 
 def test_sharp_constant_rejects_unsustainable_rate():

@@ -8,6 +8,7 @@ from fpopt.serialize import (
     ProblemFormatError,
     certificate_to_dict,
     covariance_from_obj,
+    dump_json,
     matrix_from_obj,
     problem_from_dict,
 )
@@ -86,3 +87,10 @@ def test_schedule_document_rejects_bad_durations():
 def test_problem_requires_covariance():
     with pytest.raises(ProblemFormatError):
         problem_from_dict({"c": 2.0})
+
+
+def test_dump_json_is_compact_and_sorted(tmp_path):
+    doc = {"b": [1.5, 2], "a": {"z": None, "y": "x"}}
+    path = tmp_path / "doc.json"
+    dump_json(doc, str(path))
+    assert path.read_text() == '{"a":{"y":"x","z":null},"b":[1.5,2]}\n'
