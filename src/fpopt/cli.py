@@ -32,6 +32,7 @@ from .propagator import (
     norm_curve,
     sharp_constant,
     tangency_time,
+    write_columns,
 )
 from .serialize import (
     ProblemFormatError,
@@ -153,12 +154,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _write_envelope_csv(path, times, values) -> None:
-    rows = map("{:.17g},{:.17g}\n".format, times.tolist(), values.tolist())
-    with open(path, "w", newline="") as handle:
-        handle.write("t,value\n" + "".join(rows))
-
-
 def _fig1(samples: int):
     """Three budgets on the benchmark equilibrium: curves, sharp envelopes,
     and the limiting pure-exponential curve."""
@@ -248,7 +243,7 @@ def cmd_reproduce(args) -> int:
             data.write_csv(path)
         else:
             constant, rate = data
-            _write_envelope_csv(path, times, constant * np.exp(-rate * times))
+            write_columns(path, "t,value", times, constant * np.exp(-rate * times))
     manifest = {"figure": args.figure, "eps": benchmarks.DEFAULT_EPS, **extra,
                 "files": [{"file": name, "role": role, "params": params}
                           for name, role, params, _ in rows],

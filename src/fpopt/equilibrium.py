@@ -17,6 +17,7 @@ import numpy as np
 from . import kernel
 from .errors import (
     InvalidConstant,
+    InvalidMatrix,
     NotAntisymmetric,
     NotPSD,
     NotSymmetric,
@@ -103,18 +104,46 @@ class Covariance:
     # forms (diffusion, skew) by congruence.
     def whiten_drift(self, c) -> np.ndarray:
         """Similarity transform K^{-1/2} c K^{1/2}."""
-        return self.inv_sqrt @ c @ self.sqrt
+        return _finite_product(self.inv_sqrt, c, self.sqrt)
 
     def unwhiten_drift(self, c) -> np.ndarray:
         """Inverse of :meth:`whiten_drift`."""
-        return self.sqrt @ c @ self.inv_sqrt
+        return _finite_product(self.sqrt, c, self.inv_sqrt)
 
     def whiten_form(self, m) -> np.ndarray:
         """Congruence transform K^{-1/2} m K^{-1/2}."""
-        return self.inv_sqrt @ m @ self.inv_sqrt
+        return _finite_product(self.inv_sqrt, m, self.inv_sqrt)
 
     def __repr__(self):
         return f"Covariance(dim={self.dim}, fastest_rate={self.fastest_rate:.6g})"
+
+
+def _finite_product(a, b, c) -> np.ndarray:
+    """``a @ b @ c``; an overflow raises :class:`InvalidMatrix`, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a @ b @ c
+    if not np.all(np.isfinite(out)):
+        raise InvalidMatrix("whitened matrix entries must be finite "
+                            "(the change of variables overflows)")
+    return out
+
+
+def _stationarity(drift, k, diffusion):
+    """``(residual, scale, e)``: ``||C K + K C^T - 2 D||_F`` and
+    ``||C||_F ||K||_F + ||D||_F``, both times ``2**-e``.
+
+    ``C``, ``K`` and ``D`` are scaled by powers of two before the norms
+    (``C K`` and ``D`` by the same ``2**-e``, ``e >= 0``), as in
+    :func:`kernel.symmetry_defect`: exact, so finite residuals keep every
+    bit, and nothing overflows for entries beyond about 1e154.
+    """
+    q = kernel.binary_exponent(k)
+    e = max(kernel.binary_exponent(drift) + q, kernel.binary_exponent(diffusion), 0)
+    c, k, d = np.ldexp(drift, q - e), np.ldexp(k, -q), np.ldexp(diffusion, -e)
+    ck = c @ k
+    residual = float(np.linalg.norm(ck + ck.T - 2.0 * d))
+    scale = float(np.linalg.norm(c) * np.linalg.norm(k) + np.linalg.norm(d))
+    return residual, scale, e
 
 
 def same_equilibrium(a: Covariance, b: Covariance) -> bool:
@@ -160,7 +189,10 @@ class CoefficientPair:
         self.diffusion = diffusion
         ck = drift @ covariance.matrix
         self.skew = 0.5 * (ck - ck.T)
-        self.stationarity_residual = float(np.linalg.norm(ck + ck.T - 2.0 * diffusion))
+        self._stationarity = _stationarity(drift, covariance.matrix, diffusion)
+        residual, _, e = self._stationarity
+        with np.errstate(over="ignore"):   # a residual beyond the float range is inf
+            self.stationarity_residual = float(np.ldexp(residual, e))
         self.whitened_drift = covariance.whiten_drift(drift)
         self.whitened_diffusion = covariance.whiten_form(diffusion)
         self.whitened_skew = covariance.whiten_form(self.skew)
@@ -242,9 +274,10 @@ def validate_pair(pair: CoefficientPair) -> ValidationReport:
     stability of the drift, and hypoellipticity via the rank test on
     ``[D, C D, ..., C^{d-1} D]``.  Failures are reported, never raised.
     """
-    scale = (np.linalg.norm(pair.drift) * np.linalg.norm(pair.covariance.matrix)
-             + np.linalg.norm(pair.diffusion))
-    admissible = pair.stationarity_residual <= ADMISSIBILITY_TOL * max(scale, 1.0)
+    # compared at the scale 2**-e the residual was taken at, so that an
+    # overflow on either side cannot decide the verdict
+    residual, scale, e = pair._stationarity
+    admissible = residual <= ADMISSIBILITY_TOL * max(scale, np.ldexp(1.0, -e))
     gap = kernel.spectral_abscissa_gap(pair.drift)
     sv = np.linalg.svd(pair.diffusion, compute_uv=False)
     if sv[0] == 0.0:

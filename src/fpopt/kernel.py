@@ -46,15 +46,20 @@ def as_square(a) -> np.ndarray:
     return a
 
 
+def binary_exponent(a) -> int:
+    """The ``e`` that brings the largest entry of ``2**-e a`` to [0.5, 1)
+    (0 for the zero matrix).  That scaling is exact and keeps norms of
+    ``a`` from overflowing for entries beyond about 1e154."""
+    return int(np.frexp(np.abs(a).max(initial=0.0))[1])
+
+
 def _relative_defect(a, sign: float) -> float:
-    """``||a + sign a^T|| / ||a||``, taken on ``a`` scaled by the power of
-    two that brings its largest entry to [0.5, 1): the scaling is exact and
-    keeps the norms from overflowing for entries beyond about 1e154."""
+    """``||a + sign a^T|| / ||a||``, taken on ``a`` scaled by
+    ``2**-binary_exponent(a)``."""
     a = np.asarray(a, dtype=float)
-    largest = float(np.abs(a).max(initial=0.0))
-    if largest == 0.0:
+    if not np.any(a):
         return 0.0
-    a = np.ldexp(a, -np.frexp(largest)[1])
+    a = np.ldexp(a, -binary_exponent(a))
     return float(np.linalg.norm(a + sign * a.T) / np.linalg.norm(a))
 
 

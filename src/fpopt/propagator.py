@@ -120,10 +120,10 @@ class _Flow:
     scan) ever sees a number near underflow.  Each segment's shifted drift
     is factored once, by :func:`kernel.expm_stack`, which serves every time
     in that segment with one stacked expression.  Prefix products
-    ``M(s)`` are cached at the switch times after ``start``.  Norms are
-    the square roots of the top eigenvalues of the Gram matrices
-    ``M^T M``, taken in stacks of at most ``_CHUNK_ELEMENTS`` matrix
-    entries.
+    ``M(s)`` are cached at the switch times after ``start``.  Norms come
+    from :func:`_log_top_singular`, in closed form for 2x2 stacks and from
+    the Gram matrices ``M^T M`` otherwise, taken in stacks of at most
+    ``_CHUNK_ELEMENTS`` matrix entries.
     """
 
     def __init__(self, schedule: Schedule, start: float = 0.0, shift: float = 0.0):
@@ -151,38 +151,67 @@ class _Flow:
             out[hit] = m
         return out
 
-    def _grams(self, times):
-        """``(offset, M, M^T M)`` over chunks of ``times``."""
+    def _chunks(self, times):
+        """``(offset, M)`` over chunks of ``times``."""
         step = max(1, _CHUNK_ELEMENTS // self.dim**2)
         for k in range(0, len(times), step):
-            m = self.at(times[k:k + step])
-            yield k, m, np.swapaxes(m, 1, 2) @ m
+            yield k, self.at(times[k:k + step])
 
     def log_norms(self, times) -> np.ndarray:
         """``log ||M(t)||`` for each entry of a 1-D array of times."""
-        gram_top = np.empty(len(times))
-        for k, _, gram in self._grams(times):
-            gram_top[k:k + len(gram)] = np.linalg.eigvalsh(gram)[:, -1]
-        return 0.5 * np.log(gram_top)
+        logs = np.empty(len(times))
+        for k, m in self._chunks(times):
+            logs[k:k + len(m)] = _log_top_singular(m)[0]
+        return logs
 
     def log_norms_and_slopes(self, times):
         """``log ||M(t)||`` and its time derivative ``-u^T (C~ - shift I) u``.
 
-        ``u = M v / ||M v||`` is the top left singular vector, from the top
-        eigenvector ``v`` of the Gram matrix.  At a switch time the slope
-        is the right derivative, and where the top two singular values
-        cross it is the slope of the branch ``eigh`` picks.
+        ``u`` is the top left singular vector of ``M(t)``.  At a switch time
+        the slope is the right derivative, and where the top two singular
+        values cross it is the slope of the branch that
+        :func:`_log_top_singular` picks.
         """
         segment = np.searchsorted(self.starts[1:], times, side="right")
         logs, slopes = np.empty(len(times)), np.empty(len(times))
-        for k, m, gram in self._grams(times):
-            eigenvalues, vectors = np.linalg.eigh(gram)
-            u = (m @ vectors[:, :, -1:])[:, :, 0]
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
+        for k, m in self._chunks(times):
+            logs[k:k + len(m)], u = _log_top_singular(m, left_vectors=True)
             drift = self.drifts[segment[k:k + len(m)]]
-            logs[k:k + len(m)] = 0.5 * np.log(eigenvalues[:, -1])
             slopes[k:k + len(m)] = -np.einsum("ni,nij,nj->n", u, drift, u)
         return logs, slopes
+
+
+def _log_top_singular(m: np.ndarray, left_vectors: bool = False):
+    """``log`` of the top singular value of each matrix in the stack ``m``,
+    and with ``left_vectors`` the top left singular vectors (else ``None``).
+
+    A 2x2 stack ``[[a, b], [c, d]]`` is done in closed form, with no
+    LAPACK call: the top singular value is
+    ``(hypot(a + d, b - c) + hypot(a - d, b + c)) / 2``, a sum of
+    non-negative terms, and the top left singular vector is
+    ``(cos phi, sin phi)`` with
+    ``phi = atan2(2 (a c + b d), a^2 + b^2 - c^2 - d^2) / 2``, whose
+    arguments are formed from the same four sums as
+    ``(a + d)(b + c) - (a - d)(b - c)`` and
+    ``(a + d)(a - d) + (b - c)(b + c)``.  Other stacks take the top
+    eigenpair of the Gram matrices ``M^T M``, and ``u = M v / ||M v||``
+    from its eigenvector ``v``.
+    """
+    if m.shape[-1] == 2:
+        a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+        plus, minus, skew, sym = a + d, a - d, b - c, b + c
+        logs = np.log(0.5 * (np.hypot(plus, skew) + np.hypot(minus, sym)))
+        if not left_vectors:
+            return logs, None
+        phi = 0.5 * np.arctan2(plus * sym - minus * skew, plus * minus + skew * sym)
+        return logs, np.stack((np.cos(phi), np.sin(phi)), axis=1)
+    gram = np.swapaxes(m, 1, 2) @ m
+    if not left_vectors:
+        return 0.5 * np.log(np.linalg.eigvalsh(gram)[:, -1]), None
+    eigenvalues, vectors = np.linalg.eigh(gram)
+    u = (m @ vectors[:, :, -1:])[:, :, 0]
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return 0.5 * np.log(eigenvalues[:, -1]), u
 
 
 def propagator(source: Union[Schedule, CoefficientPair], t1: float, t2: float) -> np.ndarray:
@@ -227,14 +256,21 @@ class NormCurve:
 
     def write_csv(self, target) -> None:
         """Write ``t,norm,envelope`` rows with 17 significant digits."""
-        rows = map("{:.17g},{:.17g},{:.17g}\n".format, self.times.tolist(),
-                   self.values.tolist(), self.envelope.tolist())
-        payload = "t,norm,envelope\n" + "".join(rows)
-        if hasattr(target, "write"):
-            target.write(payload)
-        else:
-            with open(target, "w", newline="") as handle:
-                handle.write(payload)
+        write_columns(target, "t,norm,envelope", self.times, self.values, self.envelope)
+
+
+def write_columns(target, header: str, *columns: np.ndarray) -> None:
+    """Write ``header`` and one row per index of the equal-length
+    ``columns``, each value with 17 significant digits, to a path or an
+    open text stream.  The whole file is one printf-style ``%`` call."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    values = np.column_stack(columns).ravel().tolist()
+    payload = header + "\n" + (row * len(columns[0])) % tuple(values)
+    if hasattr(target, "write"):
+        target.write(payload)
+    else:
+        with open(target, "w", newline="") as handle:
+            handle.write(payload)
 
 
 def norm_curve(source: Union[Schedule, CoefficientPair], t_max: float,

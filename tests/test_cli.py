@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +101,20 @@ def test_optimize_parse_failures_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "optimize", huge)
     assert code == 2
     assert "finite" in err
+
+
+def test_optimize_overflow_prints_only_the_exit_message(tmp_path):
+    # the whitening overflow is detected, not warned about: stderr is one line
+    import fpopt
+
+    huge = write_json(tmp_path / "h.json", {"K": {"diag": [1e-300, 1.0]}, "c": 2.0})
+    src = os.path.dirname(os.path.dirname(fpopt.__file__))
+    done = subprocess.run([sys.executable, "-m", "fpopt", "optimize", huge],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert not done.stdout
+    assert done.stderr.startswith("fpopt: ") and done.stderr.count("\n") == 1
+    assert "finite" in done.stderr
 
 
 MALFORMED = {

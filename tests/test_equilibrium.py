@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from fpopt import (
     CoefficientPair,
     Covariance,
     InvalidConstant,
+    InvalidMatrix,
     NotAntisymmetric,
     NotPSD,
     TraceBudgetExceeded,
@@ -139,6 +142,38 @@ def test_validate_constructed_certificate_rank_one():
     assert report.passed
     assert report.rank_diffusion == 1
     assert report.trace_diffusion == pytest.approx(3.0, abs=1e-12)
+
+
+def test_stationarity_is_judged_without_overflow():
+    # the residual and its scale are taken on C, K and D scaled by powers
+    # of two: finite residuals keep every bit, none overflows to inf <= inf
+    rng = np.random.default_rng(23)
+    for d in (2, 4):
+        cov = random_covariance(rng, d)
+        pair = random_admissible_pair(rng, cov)
+        ck = pair.drift @ cov.matrix
+        assert pair.stationarity_residual == np.linalg.norm(ck + ck.T - 2.0 * pair.diffusion)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # whitened drift entries near 1e200: the unscaled norms overflowed
+        report = validate_pair(construct_optimal(Covariance(np.diag([1e-200, 1.0])), 2).pair)
+        assert np.isfinite(report.stationarity_residual)
+        assert report.admissible and report.passed
+        # a true residual of 2.8e308, beyond the float range, is reported as such
+        far = CoefficientPair(Covariance(np.eye(2)), 1e308 * np.eye(2), np.zeros((2, 2)))
+        report = validate_pair(far)
+        assert report.stationarity_residual == np.inf
+        assert not report.admissible and not report.passed
+
+
+def test_whitening_overflow_is_an_input_error():
+    cov = Covariance(np.array([1e-300, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidMatrix, match="finite"):
+            cov.unwhiten_drift(np.full((2, 2), 1e200))
+        with pytest.raises(InvalidMatrix, match="finite"):
+            construct_optimal(cov, 2.0)
 
 
 # --------------------------------------------------------- spectral gap

@@ -29,7 +29,13 @@ from fpopt import (
 )
 from fpopt import kernel
 from fpopt.benchmarks import case_pairs, rotating_pair, split_schedule, symmetric_pair
-from fpopt.propagator import _CHUNK_ELEMENTS, _Flow, _refine_peaks
+from fpopt.propagator import (
+    _CHUNK_ELEMENTS,
+    _Flow,
+    _log_top_singular,
+    _refine_peaks,
+    write_columns,
+)
 from helpers import integrate_flow, random_admissible_pair, random_covariance
 
 
@@ -196,6 +202,74 @@ def test_flow_defective_drift_takes_scipy_path(mu):
         assert np.abs(product - integrate_flow(schedule, t)).max() <= 1e-8
 
 
+def _gram_top(m):
+    """The d >= 3 route on any stack: log of the top singular value and
+    the top left singular vector from the Gram matrices and ``eigh``."""
+    eigenvalues, vectors = np.linalg.eigh(np.swapaxes(m, 1, 2) @ m)
+    u = (m @ vectors[:, :, -1:])[:, :, 0]
+    return 0.5 * np.log(eigenvalues[:, -1]), u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+def _random_2x2_stacks(rng):
+    """Random 2x2 stacks: general, near-rotations with sigma_1 / sigma_2 - 1
+    about 1e-12, and both scaled by 2**500 and 2**-500."""
+    general = rng.normal(size=(400, 2, 2))
+    angle = rng.uniform(-np.pi, np.pi, 200)
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    rotation = np.moveaxis(rotation, -1, 0) * rng.uniform(0.1, 10.0, (200, 1, 1))
+    near = rotation @ (np.eye(2) + 1e-12 * rng.normal(size=(200, 2, 2)))
+    base = np.concatenate((general, near))
+    return [np.ldexp(base, k) for k in (0, 500, -500)]
+
+
+def test_closed_form_2x2_norms_match_gram_route():
+    rng = np.random.default_rng(7)
+    for m in _random_2x2_stacks(rng):
+        logs, _ = _log_top_singular(m)
+        reference, _ = _gram_top(m)
+        np.testing.assert_allclose(logs, reference, rtol=1e-15, atol=4e-15)
+    # t = 0: the identity has log norm exactly 0
+    logs, u = _log_top_singular(np.eye(2)[None], left_vectors=True)
+    assert logs[0] == 0.0 and np.all(np.isfinite(u))
+    flow = _Flow(Schedule.constant(rotating_pair(7.0)), shift=1.0)
+    assert flow.log_norms(np.array([0.0, 0.5]))[0] == 0.0
+
+
+def test_closed_form_2x2_slopes_match_gram_route():
+    rng = np.random.default_rng(8)
+    drift = rng.normal(size=(2, 2))
+    for m in _random_2x2_stacks(rng):
+        sigma = np.linalg.svd(m, compute_uv=False)
+        separated = sigma[:, 0] > (1.0 + 1e-6) * sigma[:, 1]
+        assert 300 <= np.count_nonzero(separated) < len(m)
+        _, u = _log_top_singular(m[separated], left_vectors=True)
+        _, reference = _gram_top(m[separated])
+        # the vectors agree up to sign, so their projectors agree
+        projector = u[:, :, None] * u[:, None, :]
+        expected = reference[:, :, None] * reference[:, None, :]
+        np.testing.assert_allclose(projector, expected, atol=1e-9)
+        well = sigma[separated, 0] > 1.5 * sigma[separated, 1]
+        np.testing.assert_allclose(projector[well], expected[well], atol=1e-14)
+        slopes = np.einsum("ni,ij,nj->n", u, drift, u)
+        np.testing.assert_allclose(slopes, np.einsum("ni,ij,nj->n", reference, drift, reference),
+                                   atol=1e-9)
+
+
+def test_2d_curves_and_constants_make_no_eigensolver_call(monkeypatch):
+    pair = rotating_pair(7.0)
+    schedule = split_schedule(rotating_pair(11.0), 0.1434)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2x2 norm went through the symmetric eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    norm_curve(pair, 8.0, 256)
+    norm_curve(schedule, 8.0, 256, rate=1.0)
+    assert sharp_constant(pair, 1.0) == pytest.approx(np.sqrt(4.0 / 3.0), rel=1e-14)
+    assert sharp_constant(schedule, 1.0) > 1.0
+
+
 _GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
 
 
@@ -351,6 +425,11 @@ def test_norm_curve_csv_format():
         envelope = odd.envelope
     rows = [f"{t:.17g},{v:.17g},{e:.17g}" for t, v, e in zip(odd.times, odd.values, envelope)]
     assert buffer.getvalue() == "\n".join(["t,norm,envelope", *rows]) + "\n"
+    # the same formatting serves the two-column envelope files of `reproduce`
+    buffer = io.StringIO()
+    write_columns(buffer, "t,value", special, special[::-1].copy())
+    rows = [f"{t:.17g},{v:.17g}" for t, v in zip(special, special[::-1])]
+    assert buffer.getvalue() == "\n".join(["t,value", *rows]) + "\n"
 
 
 # ------------------------------------------------------------ sharp constant
