@@ -54,7 +54,6 @@ from .construction import (
     equidistribute_basis,
     frobenius_bound,
     growth_study,
-    shifted_weights,
     skew_coupling,
 )
 from .propagator import (
@@ -119,7 +118,6 @@ __all__ = [
     "propagator",
     "same_equilibrium",
     "sharp_constant",
-    "shifted_weights",
     "skew_coupling",
     "spectral_abscissa_gap",
     "spectral_gap",

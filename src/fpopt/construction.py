@@ -175,17 +175,6 @@ def arithmetic_weights(dim: int, budget: float) -> LyapunovWeights:
     return LyapunovWeights((dim - 1) / (budget * budget - 1.0) + np.arange(dim, dtype=float))
 
 
-def shifted_weights(dim: int) -> LyapunovWeights:
-    """The older ladder ``d + k`` for ``k = 1..d``, kept for comparisons.
-
-    Its implied budget ``sqrt(2d/(d+1))`` cannot be tuned, and the larger
-    offset inflates the skew coupling; see the Frobenius regression tests.
-    """
-    if dim < 2:
-        raise ValueError("need dimension >= 2")
-    return LyapunovWeights(dim + np.arange(1, dim + 1, dtype=float))
-
-
 def skew_coupling(basis: EquidistributingBasis, weights: LyapunovWeights,
                   whitened_diffusion) -> np.ndarray:
     """Antisymmetric coupling in basis coordinates.

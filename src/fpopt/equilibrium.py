@@ -159,8 +159,9 @@ def same_equilibrium(a: Covariance, b: Covariance) -> bool:
 class CoefficientPair:
     """A drift/diffusion pair tied to a fixed Gaussian equilibrium.
 
-    Stores the raw matrices, the skew certificate ``J`` (the antisymmetric
-    part of ``C K``), and the whitened forms every norm computation runs on:
+    Stores the raw matrices, the eigenvalues of ``D``, the skew certificate
+    ``J`` (the antisymmetric part of ``C K``), and the whitened forms every
+    norm computation runs on:
     ``C~ = K^{-1/2} C K^{1/2}``, ``D~ = K^{-1/2} D K^{-1/2}``,
     ``J~ = K^{-1/2} J K^{-1/2}``.  Construction enforces shape, finiteness,
     symmetry and positive semi-definiteness of the diffusion, and the trace
@@ -187,8 +188,11 @@ class CoefficientPair:
         self.covariance = covariance
         self.drift = drift
         self.diffusion = diffusion
-        ck = drift @ covariance.matrix
-        self.skew = 0.5 * (ck - ck.T)
+        self.diffusion_eigenvalues = eigs
+        # halved first: a finite J never overflows, an infinite one fails whitening
+        with np.errstate(over="ignore", invalid="ignore"):
+            ck = 0.5 * (drift @ covariance.matrix)
+            self.skew = ck - ck.T
         self._stationarity = _stationarity(drift, covariance.matrix, diffusion)
         residual, _, e = self._stationarity
         with np.errstate(over="ignore"):   # a residual beyond the float range is inf
@@ -271,27 +275,24 @@ def validate_pair(pair: CoefficientPair) -> ValidationReport:
 
     Checks: stationarity of the equilibrium (Lyapunov residual
     ``||C K + K C^T - 2 D||_F`` against :data:`ADMISSIBILITY_TOL`), positive
-    stability of the drift, and hypoellipticity via the rank test on
-    ``[D, C D, ..., C^{d-1} D]``.  Failures are reported, never raised.
+    stability of the drift, and hypoellipticity by the PBH test of
+    :func:`kernel.kalman_rank` on the whitened pair.  Failures are
+    reported, never raised.
     """
     # compared at the scale 2**-e the residual was taken at, so that an
     # overflow on either side cannot decide the verdict
     residual, scale, e = pair._stationarity
     admissible = residual <= ADMISSIBILITY_TOL * max(scale, np.ldexp(1.0, -e))
     gap = kernel.spectral_abscissa_gap(pair.drift)
-    sv = np.linalg.svd(pair.diffusion, compute_uv=False)
-    if sv[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(sv > kernel.RANK_TOL * sv[0]))
+    eigs = np.abs(pair.diffusion_eigenvalues)
     return ValidationReport(
         stationarity_residual=pair.stationarity_residual,
         admissible=admissible,
         spectral_gap=gap,
         positive_stable=gap > 0.0,
-        hypoelliptic=kernel.kalman_rank(pair.drift, pair.diffusion),
+        hypoelliptic=kernel.kalman_rank(pair.whitened_drift, pair.whitened_diffusion),
         trace_diffusion=pair.trace_diffusion,
-        rank_diffusion=rank,
+        rank_diffusion=np.count_nonzero(eigs > kernel.RANK_TOL * eigs.max()),
     )
 
 

@@ -22,7 +22,8 @@ from .errors import EigenFailure, InvalidMatrix
 #: tight on purpose: a larger defect is a real bug, not noise.
 SYM_TOL = 1e-12
 
-#: Singular values below RANK_TOL * sigma_max count as zero in rank tests.
+#: Singular values below RANK_TOL * sigma_max, and overlaps ||b^T w|| below
+#: RANK_TOL * ||b||, count as zero in rank tests.
 RANK_TOL = 1e-10
 
 #: Largest condition number of the eigenvector matrix for which
@@ -190,30 +191,41 @@ def spectral_abscissa_gap(a) -> float:
 
 
 def kalman_rank(a, b, tol: float = RANK_TOL) -> bool:
-    """Controllability-style rank test.
+    """Kalman's rank condition, decided by the Popov-Belevitch-Hautus test.
 
-    True iff ``[b, a b, a^2 b, ..., a^{n-1} b]`` has full rank ``n``, with
-    rank counted from singular values above ``tol * sigma_max``.  Applied to
-    a drift/diffusion pair this is the hypoellipticity test: no nontrivial
-    invariant subspace of the diffusion kernel survives the drift.
+    True iff ``[b, a b, ..., a^{n-1} b]`` has full rank ``n``, that is iff
+    no left eigenvector ``w`` of ``a`` (``a^T w = lambda w``) has
+    ``b^T w = 0``.  Applied to a drift/diffusion pair this is the
+    hypoellipticity test: no nontrivial invariant subspace of the diffusion
+    kernel survives the drift.  The Krylov matrix, whose small singular
+    values drown under the powers of ``a`` (Paige 1981), is never formed.
 
-    ``a`` is normalised by its spectral norm before the powers are formed;
-    block-wise positive scaling leaves the span (hence the rank) unchanged
-    but stops ``a^{n-1}`` from drowning the small singular values that the
-    relative threshold is supposed to protect.
+    One ``eig`` of ``a^T`` gives unit left eigenvectors; each must have
+    ``||b^T w|| > tol ||b||``.  Where eigenvectors are not resolved to
+    ``tol`` -- eigenvalues within ``eps ||a|| / tol`` (``eig`` returns an
+    arbitrary basis of a repeated eigenvalue's eigenspace) or eigenvectors
+    with ``|w_i^* w_j| >= 1 - eps / tol`` (a defective eigenvalue splits
+    into nearly parallel ones) -- the cluster must also give
+    ``[a^T - mu I; b^T]`` singular values above ``tol`` times the largest
+    at its mean ``mu``, which rounding leaves accurate.  ``a`` and ``b``
+    are scaled by powers of two first: exact, and no norm overflows.
     """
-    a = as_square(a)
-    b = as_square(b)
+    a, b = as_square(a), as_square(b)
     if a.shape != b.shape:
         raise InvalidMatrix("rank test needs matrices of matching shapes")
-    n = a.shape[0]
-    scale = spectral_norm(a)
-    if scale > 0.0:
-        a = a / scale
-    blocks = [b]
-    for _ in range(n - 1):
-        blocks.append(a @ blocks[-1])
-    s = np.linalg.svd(np.hstack(blocks), compute_uv=False)
-    if s[0] == 0.0:
+    a, b = np.ldexp(a, -binary_exponent(a)), np.ldexp(b, -binary_exponent(b))
+    lam, w = np.linalg.eig(a.T)
+    if np.linalg.norm(b.T @ w, axis=0).min() <= tol * np.linalg.norm(b):
         return False
-    return int(np.count_nonzero(s > tol * s[0])) == n
+    resolution = np.finfo(float).eps / tol
+    close = ((abs(lam[:, None] - lam) <= resolution * np.linalg.norm(a))
+             | (abs(w.conj().T @ w) >= 1.0 - resolution))
+    unchecked = close.sum(axis=1) > 1
+    while unchecked.any():
+        cluster = close[unchecked.argmax()]
+        unchecked &= ~cluster
+        shifted = np.vstack((a.T - lam[cluster].mean() * np.eye(len(a)), b.T))
+        s = np.linalg.svd(shifted, compute_uv=False)
+        if s[-1] <= tol * s[0]:
+            return False
+    return True

@@ -12,6 +12,7 @@ import pytest
 from fpopt import (
     CoefficientPair,
     Covariance,
+    LyapunovWeights,
     construct_optimal,
     expm,
     general_eigenvalues,
@@ -21,7 +22,6 @@ from fpopt import (
     norm_curve,
     propagator,
     sharp_constant,
-    shifted_weights,
     spectral_gap,
     spectral_norm,
     best_constant_2d,
@@ -71,7 +71,7 @@ def test_criterion_03_frobenius_regression():
     cov = Covariance(np.array([20.0, 1.0]))
     cert = construct_optimal(cov, np.sqrt(2.0))
     assert np.linalg.norm(cert.pair.drift) == pytest.approx(np.sqrt(184.45), rel=1e-9)
-    legacy = construct_optimal(cov, weights=shifted_weights(2))
+    legacy = construct_optimal(cov, weights=LyapunovWeights([3.0, 4.0]))
     assert np.linalg.norm(legacy.pair.drift) == pytest.approx(np.sqrt(986.45), rel=1e-9)
     assert np.linalg.norm(cert.pair.diffusion) == 2.0
     _report(3, "drift Frobenius norms sqrt(184.45) / sqrt(986.45), diffusion norm 2")

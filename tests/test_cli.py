@@ -162,6 +162,16 @@ def test_validate_degenerate_pair_exit_4(tmp_path, capsys):
     assert report["passed"] is False
 
 
+def test_validate_repeated_eigenvalue_pair_exit_4(tmp_path, capsys):
+    # C = diag(1, 1, 2), D = 11^T: e1 - e2 is a left eigenvector of C in ker D
+    doc = {"K": {"diag": [1.0, 1.0, 1.0]},
+           "pair": {"C": {"diag": [1.0, 1.0, 2.0]}, "D": np.ones((3, 3)).tolist()}}
+    code, out, _ = run(capsys, "validate", write_json(tmp_path / "p.json", doc))
+    assert code == 4
+    report = json.loads(out)
+    assert report["hypoelliptic"] is False and report["passed"] is False
+
+
 def test_validate_rank_one_pair_passes(tmp_path, capsys):
     doc = anisotropic_doc({"pair": rotating_matrices(11.0)})
     code, out, _ = run(capsys, "validate", write_json(tmp_path / "p.json", doc))
@@ -169,6 +179,18 @@ def test_validate_rank_one_pair_passes(tmp_path, capsys):
     report = json.loads(out)
     assert report["rank_diffusion"] == 1
     assert report["passed"] is True
+
+
+def test_validate_accepts_high_dimensional_certificate(tmp_path, capsys):
+    # the rank-one optimal pair at d = 24 is hypoelliptic: validate exits 0
+    path = write_json(tmp_path / "p.json", {"K": {"diag": np.geomspace(1.0, 2.0, 24).tolist()},
+                                            "c": 2.0})
+    cert_path = tmp_path / "cert.json"
+    assert run(capsys, "optimize", path, "--out", str(cert_path))[0] == 0
+    code, out, _ = run(capsys, "validate", str(cert_path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["hypoelliptic"] is True and report["rank_diffusion"] == 1
 
 
 def test_validate_over_budget_pair_exit_4(tmp_path, capsys):

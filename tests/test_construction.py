@@ -12,7 +12,6 @@ from fpopt import (
     expm,
     frobenius_bound,
     growth_study,
-    shifted_weights,
     skew_coupling,
     spectral_norm,
     validate_pair,
@@ -73,12 +72,6 @@ def test_arithmetic_weights_2d():
     assert np.allclose(w.values, [1.0, 2.0], atol=1e-12)
     # coupling strength (w2 + w1)/(w2 - w1)
     assert (w.values[1] + w.values[0]) / (w.values[1] - w.values[0]) == pytest.approx(3.0)
-
-
-def test_shifted_weights_2d():
-    w = shifted_weights(2)
-    assert np.allclose(w.values, [3.0, 4.0])
-    assert (w.values[1] + w.values[0]) / (w.values[1] - w.values[0]) == pytest.approx(7.0)
 
 
 def test_arithmetic_weights_ratio():
@@ -233,6 +226,23 @@ def test_construction_validates_at_large_and_small_scales():
         assert validate_pair(cert.pair).passed
 
 
+def test_conditioning_sweep_validates():
+    # every certificate passes validation and satisfies its whitened
+    # Lyapunov identity, at the problem's own scale, up to kappa(K) = 1e12
+    rng = np.random.default_rng(35)
+    eps = np.finfo(float).eps
+    for d in (4, 8, 16, 32, 64):
+        for kappa in (2.0, 1e3, 1e6, 1e9, 1e12):
+            axes = np.linalg.qr(rng.normal(size=(d, d)))[0]
+            cert = construct_optimal(Covariance.from_eigen(np.geomspace(1.0, kappa, d), axes), 2.0)
+            pair, rate, q = cert.pair, cert.rate, cert.Q
+            assert validate_pair(pair).passed, (d, kappa)
+            jw, dw = pair.whitened_skew, pair.whitened_diffusion
+            residual = np.linalg.norm(jw @ q - q @ jw + q @ dw + dw @ q - 2.0 * rate * q)
+            scale = np.linalg.norm(q) * (np.linalg.norm(jw) + np.linalg.norm(dw) + rate)
+            assert residual <= 100.0 * eps * kappa * scale, (d, kappa)
+
+
 def test_construct_rejects_bad_budget():
     cov = Covariance(np.array([1.0, 2.0]))
     with pytest.raises(InvalidConstant):
@@ -275,8 +285,12 @@ def test_frobenius_regression_anisotropic():
     cov = Covariance(np.array([20.0, 1.0]))
     cert = construct_optimal(cov, np.sqrt(2.0))
     assert np.linalg.norm(cert.pair.drift) == pytest.approx(np.sqrt(184.45), rel=1e-9)
-    shifted = construct_optimal(cov, weights=shifted_weights(2))
-    assert np.linalg.norm(shifted.pair.drift) == pytest.approx(np.sqrt(986.45), rel=1e-9)
+    # the ladder (3, 4): coupling strength (w2 + w1)/(w2 - w1) = 7
+    shifted = LyapunovWeights([3.0, 4.0])
+    assert (shifted.values[1] + shifted.values[0]) / (shifted.values[1] - shifted.values[0]) \
+        == pytest.approx(7.0)
+    cert = construct_optimal(cov, weights=shifted)
+    assert np.linalg.norm(cert.pair.drift) == pytest.approx(np.sqrt(986.45), rel=1e-9)
 
 
 def test_growth_study_consistency():

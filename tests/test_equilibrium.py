@@ -166,6 +166,23 @@ def test_stationarity_is_judged_without_overflow():
         assert not report.admissible and not report.passed
 
 
+def test_skew_certificate_is_taken_without_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # C K = 1e308 [[1, 1], [-1, 1]]: its skew part is finite, its
+        # unhalved difference is not
+        far = CoefficientPair(Covariance(np.eye(2)), 1e308 * np.array([[1.0, 1.0], [-1.0, 1.0]]),
+                              np.zeros((2, 2)))
+        assert np.array_equal(far.skew, 1e308 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        report = validate_pair(far)
+        assert report.stationarity_residual == np.inf
+        assert not report.admissible and not report.passed
+        # C K = 1e400 [[1, 1], [-1, 1]]: the skew part itself is beyond the float range
+        with pytest.raises(InvalidMatrix, match="finite"):
+            CoefficientPair(Covariance(1e200 * np.eye(2)),
+                            1e200 * np.array([[1.0, 1.0], [-1.0, 1.0]]), np.zeros((2, 2)))
+
+
 def test_whitening_overflow_is_an_input_error():
     cov = Covariance(np.array([1e-300, 1.0]))
     with warnings.catch_warnings():

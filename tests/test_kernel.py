@@ -8,13 +8,17 @@ import scipy.integrate
 
 import fpopt
 from fpopt import (
+    CoefficientPair,
+    Covariance,
     InvalidMatrix,
     expm,
     expm_stack,
     general_eigenvalues,
     kalman_rank,
     spectral_norm,
+    validate_pair,
 )
+from fpopt.benchmarks import rotating_pair
 from fpopt.kernel import antisymmetry_defect, symmetry_defect
 from helpers import random_stable
 
@@ -225,3 +229,76 @@ def test_kalman_rank_similarity_invariant():
             continue
         transformed = kalman_rank(s @ a @ np.linalg.inv(s), s @ b @ s.T)
         assert transformed == kalman_rank(a, b)
+
+
+def test_kalman_rank_repeated_eigenvalue():
+    # C = diag(1, 1, 2) with D = 11^T: the left eigenvector e1 - e2 of the
+    # double eigenvalue is orthogonal to the range of D.  eig returns some
+    # basis of that eigenspace, whose vectors need not miss the range of D,
+    # so only the rank of [C^T - I; D^T] can see it.
+    c, d = np.diag([1.0, 1.0, 2.0]), np.ones((3, 3))
+    assert np.linalg.norm(d.T @ np.linalg.eig(c.T)[1], axis=0).min() > 0.5
+    assert kalman_rank(c, d) is False
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        assert kalman_rank(q @ c @ q.T, q @ d @ q.T) is False
+    report = validate_pair(CoefficientPair(Covariance(np.eye(3)), c, d))
+    assert not report.admissible and not report.hypoelliptic and not report.passed
+
+
+def test_kalman_rank_defective_admissible_pair():
+    # the whitened drift [[0, -1], [1, 2]] has the double eigenvalue 1 with
+    # a single eigenvector, which the rank-one diffusion still reaches
+    report = validate_pair(rotating_pair(1.0))
+    assert report.hypoelliptic and report.passed
+
+
+def test_kalman_rank_defective_uncontrollable_block():
+    # a Jordan block of size k splits under rounding into k eigenvalues about
+    # eps**(1/k) apart, with nearly parallel eigenvectors that each nearly
+    # reach the range of b; the block's left eigenvector e_n does not
+    rng = np.random.default_rng(16)
+    n = 5
+    for k in (2, 3, 4):
+        for _ in range(10):
+            a = np.zeros((n, n))
+            a[:n - k] = rng.normal(size=(n - k, n))
+            a[n - k:, n - k:] = rng.normal() * np.eye(k) + np.eye(k, k=1)
+            g = rng.normal(size=(n, n))
+            g[-1] = 0.0
+            q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            assert kalman_rank(q @ a @ q.T, q @ g @ g.T @ q.T) is False, k
+            assert kalman_rank(q @ a @ q.T, np.eye(n)) is True, k
+
+
+def _random_control_pair(rng, n):
+    """A random ``(a, b)`` in a random orthonormal basis: a generic drift, a
+    block-triangular drift that leaves the range of ``b`` invariant, or a
+    small integer spectrum with repeated, possibly defective, eigenvalues."""
+    kind = rng.integers(3)
+    if kind == 0:
+        a = rng.normal(size=(n, n))
+    elif kind == 1:
+        a = np.triu(rng.normal(size=(n, n)))
+    else:
+        a = np.diag(rng.integers(0, 3, size=n).astype(float)) \
+            + np.triu(rng.integers(0, 2, size=(n, n)), 1)
+    m = rng.integers(1, n + 1)
+    g = rng.normal(size=(n, m))
+    if kind == 1:
+        g[m:] = 0.0   # the range of b lies in the invariant span of e_1..e_m
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return q @ a @ q.T, q @ g @ g.T @ q.T
+
+
+def test_kalman_rank_agrees_with_krylov_rank():
+    rng = np.random.default_rng(15)
+    verdicts = []
+    for i in range(600):
+        n = 1 + i % 5
+        a, b = _random_control_pair(rng, n)
+        krylov = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(n)])
+        verdicts.append(bool(np.linalg.matrix_rank(krylov) == n))
+        assert kalman_rank(a, b) is verdicts[-1]
+    assert 100 <= verdicts.count(False) <= 500
