@@ -30,7 +30,6 @@ from .kernel import (
     expm_stack,
     general_eigenvalues,
     kalman_rank,
-    spectral_abscissa_gap,
     spectral_norm,
 )
 from .equilibrium import (
@@ -119,7 +118,6 @@ __all__ = [
     "same_equilibrium",
     "sharp_constant",
     "skew_coupling",
-    "spectral_abscissa_gap",
     "spectral_gap",
     "spectral_norm",
     "tangency_time",

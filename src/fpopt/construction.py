@@ -35,7 +35,7 @@ import numpy as np
 
 from . import kernel
 from .equilibrium import CoefficientPair, Covariance
-from .errors import DegenerateSchedule, InvalidConstant, NotPSD, NotSymmetric
+from .errors import DegenerateSchedule, InvalidConstant
 
 #: Relative spread of the covariance spectrum below which the equilibrium
 #: counts as isotropic and the symmetric pair (K^{-1}, I) is already optimal.
@@ -78,20 +78,14 @@ def equidistribute_basis(matrix) -> EquidistributingBasis:
     magnitude is used, the positive one on a tie.  Pinned coordinates are
     never revisited, so the sweep ends after at most ``d - 1`` rotations.
     """
-    a = kernel.as_square(matrix)
-    if kernel.symmetry_defect(a) > kernel.SYM_TOL:
-        raise NotSymmetric("can only equidistribute a symmetric matrix")
-    a = 0.5 * (a + a.T)
-    eigs = np.linalg.eigvalsh(a)
-    if eigs[0] < -1e-10 * max(1.0, float(np.abs(eigs).max())):
-        raise NotPSD("can only equidistribute a positive semi-definite matrix")
+    a, _ = kernel.symmetric_psd(kernel.as_square(matrix), "matrix to equidistribute")
     d = a.shape[0]
     # Sweep a / scale, with scale the power of two that brings every entry
     # below 1.  The division is exact, so the rotations are those of the
     # unscaled sweep, but cb * cb - ca * cc below cannot overflow at large
     # rates.  The tolerances are relative to tau, which for a PSD matrix is
     # at least its largest entry over d, so they hold at any magnitude.
-    scale = 2.0 ** np.frexp(float(np.abs(a).max()))[1]
+    scale = np.ldexp(1.0, kernel.binary_exponent(a))
     a = a / scale
     tau = float(np.trace(a) / d)
     psi = np.eye(d)

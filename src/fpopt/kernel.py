@@ -6,7 +6,8 @@ The heavy lifting is delegated to LAPACK through numpy/scipy: the matrix
 exponential at one time uses scipy's scaling-and-squaring Pade code; a
 stack of times shares one real eigendecomposition of the matrix, with the
 Pade code as the fallback for (nearly) defective matrices; general spectra
-use the Hessenberg + shifted-QR path behind ``eigvals``.  ``scipy.linalg``
+use the Hessenberg + shifted-QR path behind ``eigvals``; the controllability
+test is an orthogonal staircase of SVDs, with no eigenvalues.  ``scipy.linalg``
 is imported only by the two functions that call it, which keeps it out of
 the package's import time.
 """
@@ -15,15 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EigenFailure, InvalidMatrix
+from .errors import EigenFailure, InvalidMatrix, NotPSD, NotSymmetric
 
 #: Relative Frobenius tolerance for accepting a matrix as (anti)symmetric.
 #: Inputs in this package are constructed analytically, so the tolerance is
 #: tight on purpose: a larger defect is a real bug, not noise.
 SYM_TOL = 1e-12
 
-#: Singular values below RANK_TOL * sigma_max, and overlaps ||b^T w|| below
-#: RANK_TOL * ||b||, count as zero in rank tests.
+#: Singular values, and the eigenvalues of a PSD matrix, below RANK_TOL
+#: times the scale of their matrix (in magnitude) count as zero.
 RANK_TOL = 1e-10
 
 #: Largest condition number of the eigenvector matrix for which
@@ -72,6 +73,22 @@ def symmetry_defect(a) -> float:
 def antisymmetry_defect(a) -> float:
     """Relative Frobenius distance ||a + a^T|| / ||a|| (0 for the zero matrix)."""
     return _relative_defect(a, 1.0)
+
+
+def symmetric_psd(a, name: str):
+    """``(s, eigs)``: the symmetric part of ``a`` and its ascending
+    eigenvalues, once ``a`` is checked to be symmetric positive
+    semi-definite (:class:`NotSymmetric`, :class:`NotPSD` otherwise).
+    Negative eigenvalues down to ``-RANK_TOL`` times the largest magnitude
+    count as zero, so the verdict is scale-free.  ``name`` is what ``a`` is
+    called in the messages."""
+    if symmetry_defect(a) > SYM_TOL:
+        raise NotSymmetric(f"{name} must be symmetric")
+    a = 0.5 * (a + a.T)
+    eigs = np.linalg.eigvalsh(a)
+    if eigs[0] < -RANK_TOL * np.abs(eigs).max():
+        raise NotPSD(f"{name} has negative eigenvalue {eigs[0]:.3e}")
+    return a, eigs
 
 
 def _times(t, ndim: int) -> np.ndarray:
@@ -185,47 +202,32 @@ def general_eigenvalues(a) -> np.ndarray:
         raise EigenFailure(f"eigenvalue iteration failed: {exc}") from exc
 
 
-def spectral_abscissa_gap(a) -> float:
-    """Smallest real part over the spectrum of ``a``."""
-    return float(np.min(np.real(general_eigenvalues(a))))
+def kalman_rank(a, b) -> bool:
+    """Kalman's rank condition, decided by an orthogonal staircase.
 
-
-def kalman_rank(a, b, tol: float = RANK_TOL) -> bool:
-    """Kalman's rank condition, decided by the Popov-Belevitch-Hautus test.
-
-    True iff ``[b, a b, ..., a^{n-1} b]`` has full rank ``n``, that is iff
-    no left eigenvector ``w`` of ``a`` (``a^T w = lambda w``) has
-    ``b^T w = 0``.  Applied to a drift/diffusion pair this is the
-    hypoellipticity test: no nontrivial invariant subspace of the diffusion
-    kernel survives the drift.  The Krylov matrix, whose small singular
-    values drown under the powers of ``a`` (Paige 1981), is never formed.
-
-    One ``eig`` of ``a^T`` gives unit left eigenvectors; each must have
-    ``||b^T w|| > tol ||b||``.  Where eigenvectors are not resolved to
-    ``tol`` -- eigenvalues within ``eps ||a|| / tol`` (``eig`` returns an
-    arbitrary basis of a repeated eigenvalue's eigenspace) or eigenvectors
-    with ``|w_i^* w_j| >= 1 - eps / tol`` (a defective eigenvalue splits
-    into nearly parallel ones) -- the cluster must also give
-    ``[a^T - mu I; b^T]`` singular values above ``tol`` times the largest
-    at its mean ``mu``, which rounding leaves accurate.  ``a`` and ``b``
-    are scaled by powers of two first: exact, and no norm overflows.
+    True iff ``[b, a b, ..., a^{n-1} b]`` has full rank ``n``: on a
+    drift/diffusion pair, the hypoellipticity test.  The Krylov matrix,
+    whose small singular values drown under the powers of ``a`` (Paige
+    1981), is never formed.  Instead the staircase (Van Dooren 1981) takes
+    the SVD of ``b``, then of the coupling from the coordinates just kept
+    into those still left; keeps the singular values above ``RANK_TOL``
+    times ``||b||_F`` (first step) or ``||a||_F`` (after); and rotates the
+    block of ``a`` on the remaining coordinates by the left singular
+    vectors from both sides.  A step that keeps nothing means the pair is
+    uncontrollable.  The number of steps minus one is the hypocoercivity
+    index (Achleitner, Arnold & Mehrmann 2021).  ``a`` and ``b`` are scaled
+    by powers of two first: exact, and no norm overflows.
     """
     a, b = as_square(a), as_square(b)
     if a.shape != b.shape:
         raise InvalidMatrix("rank test needs matrices of matching shapes")
     a, b = np.ldexp(a, -binary_exponent(a)), np.ldexp(b, -binary_exponent(b))
-    lam, w = np.linalg.eig(a.T)
-    if np.linalg.norm(b.T @ w, axis=0).min() <= tol * np.linalg.norm(b):
-        return False
-    resolution = np.finfo(float).eps / tol
-    close = ((abs(lam[:, None] - lam) <= resolution * np.linalg.norm(a))
-             | (abs(w.conj().T @ w) >= 1.0 - resolution))
-    unchecked = close.sum(axis=1) > 1
-    while unchecked.any():
-        cluster = close[unchecked.argmax()]
-        unchecked &= ~cluster
-        shifted = np.vstack((a.T - lam[cluster].mean() * np.eye(len(a)), b.T))
-        s = np.linalg.svd(shifted, compute_uv=False)
-        if s[-1] <= tol * s[0]:
+    k, block, scale, a_scale = 0, b, np.linalg.norm(b), np.linalg.norm(a)
+    while k < len(a):
+        u, s, _ = np.linalg.svd(block)
+        kept = np.count_nonzero(s > RANK_TOL * scale)
+        if kept == 0:
             return False
+        a[k:, k:] = u.T @ a[k:, k:] @ u
+        block, k, scale = a[k + kept:, k:k + kept], k + kept, a_scale
     return True

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import kernel
-from .equilibrium import CoefficientPair, Covariance, same_equilibrium
+from .equilibrium import CoefficientPair, Covariance, same_equilibrium, spectral_gap
 from .errors import (
     InvalidInterval,
     MixedEquilibria,
@@ -301,7 +301,7 @@ def norm_curve(source: Union[Schedule, CoefficientPair], t_max: float,
     extra = [s for s in schedule.switch_times if 0.0 < s < t_max]
     constant = None
     if rate is None:
-        gap = kernel.spectral_abscissa_gap(schedule.asymptotic_pair.whitened_drift)
+        gap = spectral_gap(schedule.asymptotic_pair)
         flow = _Flow(schedule, shift=gap)
     else:
         scan = _scan_envelope(schedule, float(rate), t_max=None, samples=samples)
@@ -395,7 +395,7 @@ def _scan_envelope(schedule: Schedule, rate: float, t_max: Optional[float],
     # rate is the spectral gap of the final pair (the curves here are not
     # monotone, but their envelope decays exactly at that gap unless the
     # boundary eigenvalue is defective, which the window check below covers).
-    gap = kernel.spectral_abscissa_gap(schedule.asymptotic_pair.whitened_drift)
+    gap = spectral_gap(schedule.asymptotic_pair)
     if rate > gap + 1e-8 * max(rate, abs(gap), 1.0):
         raise RateTooLarge(
             f"rate {rate:.6g} exceeds the asymptotic decay {gap:.6g} of the schedule")

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from fpopt import CoefficientPair, Covariance, sharp_constant, validate_pair
+from fpopt import CoefficientPair, Covariance, construct_optimal, sharp_constant, validate_pair
 from fpopt.cli import main
 
 EPS = 0.05
@@ -241,6 +241,22 @@ def test_curve_deterministic_output(tmp_path, capsys):
     assert run(capsys, "curve", path, "--out", str(first))[0] == 0
     assert run(capsys, "curve", path, "--out", str(second))[0] == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_curve_default_rate_at_high_conditioning_exit_0(tmp_path, capsys):
+    # the default rate is the spectral gap the envelope scan checks against,
+    # so it never exceeds it, however far rounding moves the raw drift's
+    # spectrum at kappa(K) = 1e12
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        axes = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        cov = Covariance.from_eigen(np.geomspace(1.0, 1e12, 4), axes)
+        pair = construct_optimal(cov, 2.0).pair
+        doc = {"K": cov.matrix.tolist(),
+               "pair": {"C": pair.drift.tolist(), "D": pair.diffusion.tolist()}}
+        path = write_json(tmp_path / f"p{seed}.json", doc)
+        code, _, err = run(capsys, "curve", path, "--out", str(tmp_path / "curve.csv"))
+        assert code == 0, (seed, err)
 
 
 def test_curve_rate_too_large_exit_5(tmp_path, capsys):

@@ -13,6 +13,7 @@ from fpopt import (
     TraceBudgetExceeded,
     baseline_envelope,
     construct_optimal,
+    equidistribute_basis,
     general_eigenvalues,
     make_pair,
     spectral_gap,
@@ -92,6 +93,18 @@ def test_make_pair_rejects_bad_inputs():
         make_pair(cov, np.diag([1.0, -0.1]), np.zeros((2, 2)))
     with pytest.raises(NotAntisymmetric):
         make_pair(cov, np.eye(2), np.eye(2))
+
+
+def test_psd_check_is_scale_free():
+    # diag(1e-12, -1e-11) is as indefinite as diag(1, -10): the diffusion
+    # check and the Schur-Horn sweep both reject it at any scale
+    cov = Covariance(np.eye(2))
+    for scale in (1.0, 1e12):
+        m = scale * np.diag([1e-12, -1e-11])
+        with pytest.raises(NotPSD):
+            CoefficientPair(cov, np.zeros((2, 2)), m)
+        with pytest.raises(NotPSD):
+            equidistribute_basis(m)
 
 
 def test_pair_invariants_random_sweep():
@@ -211,8 +224,9 @@ def test_spectral_gap_whitening_invariant():
     rng = np.random.default_rng(23)
     cov = random_covariance(rng, 4)
     pair = random_admissible_pair(rng, cov)
-    raw = spectral_gap(pair)
-    whitened = float(np.min(np.real(general_eigenvalues(pair.whitened_drift))))
+    # spectral_gap reads the whitened drift; the raw drift is similar to it
+    whitened = spectral_gap(pair)
+    raw = float(np.min(np.real(general_eigenvalues(pair.drift))))
     assert abs(raw - whitened) <= 1e-9 * max(1.0, abs(raw))
 
 

@@ -272,6 +272,47 @@ def test_kalman_rank_defective_uncontrollable_block():
             assert kalman_rank(q @ a @ q.T, np.eye(n)) is True, k
 
 
+def test_kalman_rank_jordan_block_near_simple_eigenvalue():
+    # as above, with a simple eigenvalue at lambda + delta whose eigenvector
+    # leans towards the block's: the pair stays uncontrollable
+    rng = np.random.default_rng(17)
+    n = 5
+    for k in (2, 3, 4):
+        for delta in (None, 1e-2, -1e-2, 1e-4, -1e-4):
+            for _ in range(20):
+                lam = rng.normal()
+                a = np.zeros((n, n))
+                a[:n - k] = rng.normal(size=(n - k, n))
+                a[n - k:, n - k:] = lam * np.eye(k) + np.eye(k, k=1)
+                if delta is not None:
+                    a[n - k - 1, :n - k] = 0.0
+                    a[n - k - 1, n - k - 1] = lam + delta
+                g = rng.normal(size=(n, n))
+                g[-1] = 0.0
+                q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+                assert kalman_rank(q @ a @ q.T, q @ g @ g.T @ q.T) is False, (k, delta)
+
+
+def test_kalman_rank_tolerance_is_relative_to_the_drift():
+    # b reaches only e_1..e_m, which a leaves invariant until its coupling
+    # block a[m:, :m] is set to delta ||a||_F: RANK_TOL = 1e-10 separates
+    # delta = 1e-6 (controllable) from delta = 1e-13 (rounding)
+    rng = np.random.default_rng(18)
+    n = 4
+    for m in (1, 2, 3):
+        for _ in range(5):
+            a = rng.normal(size=(n, n))
+            a[m:, :m] = 0.0
+            coupling = rng.normal(size=(n - m, m))
+            coupling *= np.linalg.norm(a) / np.linalg.norm(coupling)
+            g = rng.normal(size=(n, m))
+            g[m:] = 0.0
+            q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            for delta, verdict in ((1e-6, True), (1e-13, False)):
+                a[m:, :m] = delta * coupling
+                assert kalman_rank(q @ a @ q.T, q @ g @ g.T @ q.T) is verdict, (m, delta)
+
+
 def _random_control_pair(rng, n):
     """A random ``(a, b)`` in a random orthonormal basis: a generic drift, a
     block-triangular drift that leaves the range of ``b`` invariant, or a
