@@ -9,7 +9,6 @@ matrix-exponential propagator norms.
 """
 
 from .errors import (
-    DegenerateSchedule,
     EigenFailure,
     FpoptError,
     InvalidConstant,
@@ -46,7 +45,6 @@ from .equilibrium import (
 from .construction import (
     EquidistributingBasis,
     GrowthRow,
-    LyapunovWeights,
     OptimalCertificate,
     arithmetic_weights,
     construct_optimal,
@@ -75,7 +73,6 @@ __all__ = [
     "ADMISSIBILITY_TOL",
     "CoefficientPair",
     "Covariance",
-    "DegenerateSchedule",
     "EigenFailure",
     "EquidistributingBasis",
     "FpoptError",
@@ -83,7 +80,6 @@ __all__ = [
     "InvalidConstant",
     "InvalidInterval",
     "InvalidMatrix",
-    "LyapunovWeights",
     "MixedEquilibria",
     "NormCurve",
     "NotAntisymmetric",

@@ -84,8 +84,8 @@ def split_schedule(first: CoefficientPair, switch: float,
     return Schedule([first, rotating_pair(REFERENCE_MU, eps)], [switch])
 
 
-def case_schedules(switch: float, eps: float = DEFAULT_EPS,
-                   labels=("fp1", "fp2", "fp3", "fp4", "fp5")) -> dict:
-    """Two-piece schedules for the requested cases at a common switch time."""
+def case_schedules(switch: float, eps: float = DEFAULT_EPS) -> dict:
+    """Two-piece schedules for the cases fp1..fp5 at a common switch time."""
     pairs = case_pairs(eps)
-    return {label: split_schedule(pairs[label], switch, eps) for label in labels}
+    return {label: split_schedule(pairs[label], switch, eps)
+            for label in ("fp1", "fp2", "fp3", "fp4", "fp5")}

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import kernel
 from .equilibrium import CoefficientPair, Covariance
-from .errors import DegenerateSchedule, InvalidConstant
+from .errors import InvalidConstant
 
 #: Relative spread of the covariance spectrum below which the equilibrium
 #: counts as isotropic and the symmetric pair (K^{-1}, I) is already optimal.
@@ -126,50 +126,29 @@ def equidistribute_basis(matrix) -> EquidistributingBasis:
     return EquidistributingBasis(vectors=psi, target=tau * scale)
 
 
-class LyapunovWeights:
-    """Strictly increasing positive weights: the certificate eigenvalues.
-
-    The endpoint ratio fixes the certified envelope constant through
-    ``budget**2 = values[-1] / values[0]``.
-    """
-
-    def __init__(self, values):
-        values = np.array(values, dtype=float)  # copy: the array gets frozen
-        if values.ndim != 1 or values.size < 2:
-            raise DegenerateSchedule("need at least two weights")
-        if not np.all(np.isfinite(values)) or values[0] <= 0.0:
-            raise DegenerateSchedule("weights must be finite and positive")
-        if np.any(np.diff(values) <= 0.0):
-            raise DegenerateSchedule("weights must be strictly increasing")
-        self.values = values
-        self.values.flags.writeable = False
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def budget(self) -> float:
-        return float(np.sqrt(self.values[-1] / self.values[0]))
-
-    def __repr__(self):
-        return f"LyapunovWeights(dim={self.dim}, budget={self.budget:.6g})"
-
-
-def arithmetic_weights(dim: int, budget: float) -> LyapunovWeights:
+def arithmetic_weights(dim: int, budget: float) -> np.ndarray:
     """Unit-spaced ladder ``(d-1)/(c^2-1) + k`` for ``k = 0..d-1``.
 
     The offset makes the endpoint ratio exactly ``budget**2`` while keeping
-    consecutive gaps equal to 1, which is what tames the skew coupling.
+    consecutive gaps equal to 1, which is what tames the skew coupling.  A
+    budget whose square overflows, or one so close to 1 that the unit steps
+    vanish against the offset, leaves no such ladder in floating point.
     """
     if dim < 2:
         raise ValueError("need dimension >= 2")
+    budget = float(budget)
     if not budget > 1.0:
         raise InvalidConstant("budget must be > 1")
-    return LyapunovWeights((dim - 1) / (budget * budget - 1.0) + np.arange(dim, dtype=float))
+    square = budget * budget   # a Python float overflows to inf, with no warning
+    if square == np.inf:
+        raise InvalidConstant(f"budget {budget:g} is too large: its square overflows")
+    weights = (dim - 1) / (square - 1.0) + np.arange(dim, dtype=float)
+    if np.any(np.diff(weights) <= 0.0):
+        raise InvalidConstant(f"budget {budget!r} is too close to 1 for dimension {dim}")
+    return weights
 
 
-def skew_coupling(basis: EquidistributingBasis, weights: LyapunovWeights,
+def skew_coupling(basis: EquidistributingBasis, weights: np.ndarray,
                   whitened_diffusion) -> np.ndarray:
     """Antisymmetric coupling in basis coordinates.
 
@@ -179,9 +158,9 @@ def skew_coupling(basis: EquidistributingBasis, weights: LyapunovWeights,
     certificate for the combined flow.
     """
     m = kernel.as_square(whitened_diffusion)
-    if basis.dim != weights.dim or m.shape[0] != basis.dim:
+    w = np.asarray(weights, dtype=float)
+    if basis.dim != w.size or m.shape[0] != basis.dim:
         raise ValueError("basis, weights and diffusion dimensions must agree")
-    w = weights.values
     elements = basis.vectors.T @ m @ basis.vectors
     num = w[:, None] + w[None, :]
     den = w[:, None] - w[None, :]
@@ -197,20 +176,23 @@ class OptimalCertificate:
 
     ``P`` defines the weighted norm in which the whitened flow contracts
     exactly at ``rate``; ``Q = P^{-1}`` satisfies the Lyapunov identity with
-    the whitened skew and diffusion.  ``constant = sqrt(kappa(P))`` is the
-    certified envelope constant (equal to the requested budget except in the
-    isotropic case, where the symmetric pair achieves constant 1 and
-    ``weights`` is None).  ``variant`` records whether the transposed skew
-    was used; both variants certify the same envelope.
+    the whitened skew and diffusion.  ``weights`` is the arithmetic ladder
+    of :func:`arithmetic_weights` for ``budget``, the eigenvalues of ``Q``
+    (of ``P`` in the transposed variant), and ``constant = sqrt(kappa(P))
+    = sqrt(w[-1] / w[0])`` is the certified envelope constant, equal to the
+    budget up to rounding.  In the isotropic case the symmetric pair
+    achieves constant 1 and ``weights`` is None.  ``variant`` records
+    whether the transposed skew was used; both variants certify the same
+    envelope.
     """
 
     pair: CoefficientPair
     direction: np.ndarray
     basis: EquidistributingBasis
-    weights: Optional[LyapunovWeights]
+    weights: Optional[np.ndarray]
     Q: np.ndarray
     P: np.ndarray
-    budget: Optional[float]
+    budget: float
     constant: float
     rate: float
     variant: str
@@ -224,16 +206,18 @@ class OptimalCertificate:
         return self.pair.dim
 
 
-def construct_optimal(covariance: Covariance, budget: Optional[float] = None,
-                      variant: str = "standard",
-                      weights: Optional[LyapunovWeights] = None) -> OptimalCertificate:
+def construct_optimal(covariance: Covariance, budget: float,
+                      variant: str = "standard") -> OptimalCertificate:
     """Build the fastest-decay pair for ``covariance`` with envelope budget.
 
-    Exactly one of ``budget`` (> 1) or an explicit ``weights`` ladder must
-    be given; with explicit weights the certified constant is their endpoint
-    ratio's square root.  ``variant="transpose"`` negates the skew coupling
-    and swaps the roles of the certificate matrices, yielding the other
-    member of the optimal family (rotation reversed, same envelope).
+    The certificate weights are the arithmetic ladder of
+    :func:`arithmetic_weights`, whose endpoint ratio is ``budget**2`` (the
+    budget must exceed 1).  In 2D this covers every ladder: ``(w_1, w_2)``
+    is the ladder of budget ``sqrt(w_2 / w_1)`` up to a common factor,
+    which changes neither the pair nor the constant.  ``variant="transpose"``
+    negates the skew coupling and swaps the roles of the certificate
+    matrices, yielding the other member of the optimal family (rotation
+    reversed, same envelope).
 
     If the covariance is a multiple of the identity (relative spectral
     spread below :data:`ISOTROPY_TOL`) the symmetric pair ``(K^{-1}, I)`` is
@@ -241,13 +225,8 @@ def construct_optimal(covariance: Covariance, budget: Optional[float] = None,
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if weights is None:
-        if budget is None:
-            raise ValueError("either a budget > 1 or explicit weights are required")
-        if not budget > 1.0:
-            raise InvalidConstant("budget must be > 1")
-    elif budget is not None:
-        raise ValueError("give a budget or explicit weights, not both")
+    if not 1.0 < budget < np.inf:   # the isotropic case too: "c" stays a JSON number
+        raise InvalidConstant("budget must be finite and > 1")
 
     d = covariance.dim
     rate = covariance.fastest_rate
@@ -260,8 +239,7 @@ def construct_optimal(covariance: Covariance, budget: Optional[float] = None,
             pair=pair, direction=covariance.fastest_direction,
             basis=EquidistributingBasis(vectors=eye, target=rate),
             weights=None, Q=eye, P=eye.copy(),
-            budget=budget if budget is not None else weights.budget,
-            constant=1.0, rate=rate, variant=variant)
+            budget=budget, constant=1.0, rate=rate, variant=variant)
 
     direction = covariance.fastest_direction
     diffusion = float(d) * np.outer(direction, direction)
@@ -269,17 +247,14 @@ def construct_optimal(covariance: Covariance, budget: Optional[float] = None,
     # because its range is the eigenspace the rate comes from.
     whitened_diffusion = rate * diffusion
     basis = equidistribute_basis(whitened_diffusion)
-    if weights is None:
-        weights = arithmetic_weights(d, budget)
+    weights = arithmetic_weights(d, budget)
     coupling = skew_coupling(basis, weights, whitened_diffusion)
     whitened_skew = basis.vectors @ coupling @ basis.vectors.T
     if variant == "transpose":
         whitened_skew = -whitened_skew
-        q_eigs = 1.0 / weights.values
-        p_eigs = weights.values
+        q_eigs, p_eigs = 1.0 / weights, weights
     else:
-        q_eigs = weights.values
-        p_eigs = 1.0 / weights.values
+        q_eigs, p_eigs = weights, 1.0 / weights
     q = basis.vectors @ np.diag(q_eigs) @ basis.vectors.T
     p = basis.vectors @ np.diag(p_eigs) @ basis.vectors.T
     drift = covariance.unwhiten_drift(whitened_diffusion + whitened_skew)
@@ -287,7 +262,8 @@ def construct_optimal(covariance: Covariance, budget: Optional[float] = None,
     return OptimalCertificate(
         pair=pair, direction=direction, basis=basis, weights=weights,
         Q=0.5 * (q + q.T), P=0.5 * (p + p.T),
-        budget=budget, constant=weights.budget, rate=rate, variant=variant)
+        budget=budget, constant=float(np.sqrt(weights[-1] / weights[0])), rate=rate,
+        variant=variant)
 
 
 def frobenius_bound(covariance: Covariance, budget: float) -> tuple[float, float]:

@@ -46,8 +46,8 @@ class Covariance:
     ----------
     matrix, inv, sqrt, inv_sqrt : ndarray
         K and its inverse, principal square root, and inverse square root.
-    variances, axes : ndarray
-        Eigenvalues of K in ascending order and the orthonormal eigenvectors.
+    variances : ndarray
+        Eigenvalues of K in ascending order.
     condition_number : float
         Ratio of extreme variances.
     fastest_rate : float
@@ -75,7 +75,6 @@ class Covariance:
         self.matrix.flags.writeable = False
         self.dim = int(m.shape[0])
         self.variances = w
-        self.axes = v
         self.inv = v @ np.diag(1.0 / w) @ v.T
         self.sqrt = v @ np.diag(np.sqrt(w)) @ v.T
         self.inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.T
@@ -133,12 +132,15 @@ def _stationarity(drift, k, diffusion):
     ``||C||_F ||K||_F + ||D||_F``, both times ``2**-e``.
 
     ``C``, ``K`` and ``D`` are scaled by powers of two before the norms
-    (``C K`` and ``D`` by the same ``2**-e``, ``e >= 0``), as in
+    (``C K`` and ``D`` by the same ``2**-e``), as in
     :func:`kernel.symmetry_defect`: exact, so finite residuals keep every
-    bit, and nothing overflows for entries beyond about 1e154.
+    bit, and nothing overflows for entries beyond about 1e154 or
+    underflows for entries below about 1e-154.
     """
     q = kernel.binary_exponent(k)
-    e = max(kernel.binary_exponent(drift) + q, kernel.binary_exponent(diffusion), 0)
+    exponents = [kernel.binary_exponent(m) + shift
+                 for m, shift in ((drift, q), (diffusion, 0)) if np.any(m)]
+    e = max(exponents, default=0)
     c, k, d = np.ldexp(drift, q - e), np.ldexp(k, -q), np.ldexp(diffusion, -e)
     ck = c @ k
     residual = float(np.linalg.norm(ck + ck.T - 2.0 * d))
@@ -147,13 +149,16 @@ def _stationarity(drift, k, diffusion):
 
 
 def same_equilibrium(a: Covariance, b: Covariance) -> bool:
-    """Whether two covariances describe the same equilibrium (tight tolerance)."""
+    """Whether two covariances describe the same equilibrium: their distance
+    is within 1e-12 of the larger norm, both taken after one exact
+    power-of-two scaling, so the verdict holds at any magnitude."""
     if a is b:
         return True
     if a.dim != b.dim:
         return False
-    scale = max(np.linalg.norm(a.matrix), np.linalg.norm(b.matrix), 1.0)
-    return bool(np.linalg.norm(a.matrix - b.matrix) <= 1e-12 * scale)
+    e = max(kernel.binary_exponent(a.matrix), kernel.binary_exponent(b.matrix))
+    x, y = np.ldexp(a.matrix, -e), np.ldexp(b.matrix, -e)
+    return bool(np.linalg.norm(x - y) <= 1e-12 * max(np.linalg.norm(x), np.linalg.norm(y)))
 
 
 class CoefficientPair:
@@ -275,9 +280,10 @@ def validate_pair(pair: CoefficientPair) -> ValidationReport:
     pair.  Failures are reported, never raised.
     """
     # compared at the scale 2**-e the residual was taken at, so that an
-    # overflow on either side cannot decide the verdict
-    residual, scale, e = pair._stationarity
-    admissible = residual <= ADMISSIBILITY_TOL * max(scale, np.ldexp(1.0, -e))
+    # overflow on either side cannot decide the verdict, and relative to
+    # the pair's own size, so that a rescaled pair gets the same verdict
+    residual, scale, _ = pair._stationarity
+    admissible = residual <= ADMISSIBILITY_TOL * scale
     gap = spectral_gap(pair)
     eigs = np.abs(pair.diffusion_eigenvalues)
     return ValidationReport(

@@ -33,10 +33,6 @@ class InvalidConstant(FpoptError):
     """A multiplicative envelope constant must be strictly greater than 1."""
 
 
-class DegenerateSchedule(FpoptError):
-    """Lyapunov weights must be strictly increasing and positive."""
-
-
 class InvalidInterval(FpoptError):
     """A propagator was requested on an interval with t2 < t1."""
 

@@ -396,7 +396,7 @@ def _scan_envelope(schedule: Schedule, rate: float, t_max: Optional[float],
     # monotone, but their envelope decays exactly at that gap unless the
     # boundary eigenvalue is defective, which the window check below covers).
     gap = spectral_gap(schedule.asymptotic_pair)
-    if rate > gap + 1e-8 * max(rate, abs(gap), 1.0):
+    if rate > gap + 1e-8 * max(rate, abs(gap)):
         raise RateTooLarge(
             f"rate {rate:.6g} exceeds the asymptotic decay {gap:.6g} of the schedule")
     last_switch = schedule.switch_times[-1] if schedule.switch_times else 0.0
@@ -501,7 +501,7 @@ def best_constant_2d(pair: CoefficientPair) -> float:
         raise NotApplicable2D("closed form requires dimension 2")
     ct = pair.whitened_drift
     eigenvalues, vectors = np.linalg.eig(ct)
-    scale = max(1.0, float(np.abs(eigenvalues).max()))
+    scale = float(np.abs(eigenvalues).max())
     if abs(eigenvalues[0].real - eigenvalues[1].real) > 1e-9 * scale:
         raise NotApplicable2D("eigenvalues must share their real part")
     v1 = vectors[:, 0] / np.linalg.norm(vectors[:, 0])

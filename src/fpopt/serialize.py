@@ -185,8 +185,8 @@ def certificate_to_dict(cert: OptimalCertificate) -> dict:
         "P": _listify(cert.P),
         "basis": _listify(cert.basis.vectors),
         "direction": _listify(cert.direction),
-        "weights": None if cert.weights is None else _listify(cert.weights.values),
-        "c": None if cert.budget is None else float(cert.budget),
+        "weights": None if cert.weights is None else _listify(cert.weights),
+        "c": float(cert.budget),
         "constant": float(cert.constant),
         "lambda_opt": float(cert.rate),
         "variant": cert.variant,

@@ -12,7 +12,6 @@ import pytest
 from fpopt import (
     CoefficientPair,
     Covariance,
-    LyapunovWeights,
     construct_optimal,
     expm,
     general_eigenvalues,
@@ -71,7 +70,11 @@ def test_criterion_03_frobenius_regression():
     cov = Covariance(np.array([20.0, 1.0]))
     cert = construct_optimal(cov, np.sqrt(2.0))
     assert np.linalg.norm(cert.pair.drift) == pytest.approx(np.sqrt(184.45), rel=1e-9)
-    legacy = construct_optimal(cov, weights=LyapunovWeights([3.0, 4.0]))
+    # the ladder (3, 4) is the arithmetic ladder of budget sqrt(4/3)
+    legacy = construct_optimal(cov, np.sqrt(4.0 / 3.0))
+    assert np.abs(legacy.weights - [3.0, 4.0]).max() <= 1e-12
+    w = legacy.weights
+    assert (w[1] + w[0]) / (w[1] - w[0]) == pytest.approx(7.0)
     assert np.linalg.norm(legacy.pair.drift) == pytest.approx(np.sqrt(986.45), rel=1e-9)
     assert np.linalg.norm(cert.pair.diffusion) == 2.0
     _report(3, "drift Frobenius norms sqrt(184.45) / sqrt(986.45), diffusion norm 2")

@@ -117,6 +117,29 @@ def test_optimize_overflow_prints_only_the_exit_message(tmp_path):
     assert "finite" in done.stderr
 
 
+def test_optimize_budget_with_overflowing_square_exit_3(tmp_path, capsys):
+    # no positive weight ladder exists: an invalid constant, not an infinite one
+    import fpopt
+
+    huge = write_json(tmp_path / "h.json", {"K": {"diag": [20.0, 1.0]}, "c": 1e200})
+    src = os.path.dirname(os.path.dirname(fpopt.__file__))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "fpopt",
+                           "optimize", huge],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert done.returncode == 3
+    assert not done.stdout
+    assert done.stderr.startswith("fpopt: ") and done.stderr.count("\n") == 1
+    assert "overflows" in done.stderr
+    infinite = tmp_path / "inf.json"
+    infinite.write_text('{"K": {"diag": [20.0, 1.0]}, "c": Infinity}')
+    code, out, err = run(capsys, "optimize", str(infinite))
+    assert code == 3 and not out and "finite" in err
+    # an isotropic equilibrium needs no ladder, but "c" must stay a JSON number
+    infinite.write_text('{"K": {"diag": [1.0, 1.0]}, "c": Infinity}')
+    code, out, err = run(capsys, "optimize", str(infinite))
+    assert code == 3 and not out and "finite" in err
+
+
 MALFORMED = {
     "budget_string": {"c": "abc"},
     "diag_string": {"K": {"diag": "ab"}},

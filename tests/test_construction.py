@@ -3,9 +3,7 @@ import pytest
 
 from fpopt import (
     Covariance,
-    DegenerateSchedule,
     InvalidConstant,
-    LyapunovWeights,
     arithmetic_weights,
     construct_optimal,
     equidistribute_basis,
@@ -69,26 +67,28 @@ def test_equidistribute_is_scale_free():
 
 def test_arithmetic_weights_2d():
     w = arithmetic_weights(2, np.sqrt(2.0))
-    assert np.allclose(w.values, [1.0, 2.0], atol=1e-12)
+    assert np.allclose(w, [1.0, 2.0], atol=1e-12)
     # coupling strength (w2 + w1)/(w2 - w1)
-    assert (w.values[1] + w.values[0]) / (w.values[1] - w.values[0]) == pytest.approx(3.0)
+    assert (w[1] + w[0]) / (w[1] - w[0]) == pytest.approx(3.0)
 
 
 def test_arithmetic_weights_ratio():
     w = arithmetic_weights(5, 2.0)
-    assert w.values[0] == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert w.values[-1] == pytest.approx(16.0 / 3.0, rel=1e-15)
-    assert w.values[-1] / w.values[0] == pytest.approx(4.0, rel=1e-12)
-    assert w.budget == pytest.approx(2.0, rel=1e-12)
+    assert w[0] == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert w[-1] == pytest.approx(16.0 / 3.0, rel=1e-15)
+    assert w[-1] / w[0] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_weights_validation():
     with pytest.raises(InvalidConstant):
         arithmetic_weights(3, 1.0)
-    with pytest.raises(DegenerateSchedule):
-        LyapunovWeights([1.0, 1.0, 2.0])
-    with pytest.raises(DegenerateSchedule):
-        LyapunovWeights([-1.0, 2.0])
+    # a budget whose square overflows leaves no positive ladder
+    for budget in (1e200, np.inf):
+        with pytest.raises(InvalidConstant, match="overflows"):
+            arithmetic_weights(2, budget)
+    # one so close to 1 that the unit steps vanish leaves no increasing one
+    with pytest.raises(InvalidConstant, match="too close to 1"):
+        arithmetic_weights(64, 1.0 + 2.0**-52)
 
 
 # ------------------------------------------------------------ skew coupling
@@ -116,11 +116,10 @@ def test_skew_coupling_rank_one_formula():
     rate = 1.7
     diffusion_w = 4.0 * rate * np.outer(v, v)
     basis = equidistribute_basis(diffusion_w)
-    weights = arithmetic_weights(4, 1.4)
-    coupling = skew_coupling(basis, weights, diffusion_w)
+    w = arithmetic_weights(4, 1.4)
+    coupling = skew_coupling(basis, w, diffusion_w)
     a = basis.vectors.T @ v
     assert np.abs(a**2 - 0.25).max() <= 1e-10
-    w = weights.values
     expected = np.zeros((4, 4))
     for j in range(4):
         for k in range(4):
@@ -247,10 +246,8 @@ def test_construct_rejects_bad_budget():
     cov = Covariance(np.array([1.0, 2.0]))
     with pytest.raises(InvalidConstant):
         construct_optimal(cov, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         construct_optimal(cov)
-    with pytest.raises(ValueError):
-        construct_optimal(cov, 2.0, weights=arithmetic_weights(2, 2.0))
 
 
 def test_transpose_variant_relations():
@@ -285,11 +282,12 @@ def test_frobenius_regression_anisotropic():
     cov = Covariance(np.array([20.0, 1.0]))
     cert = construct_optimal(cov, np.sqrt(2.0))
     assert np.linalg.norm(cert.pair.drift) == pytest.approx(np.sqrt(184.45), rel=1e-9)
-    # the ladder (3, 4): coupling strength (w2 + w1)/(w2 - w1) = 7
-    shifted = LyapunovWeights([3.0, 4.0])
-    assert (shifted.values[1] + shifted.values[0]) / (shifted.values[1] - shifted.values[0]) \
-        == pytest.approx(7.0)
-    cert = construct_optimal(cov, weights=shifted)
+    # the ladder (3, 4), the arithmetic ladder of budget sqrt(4/3):
+    # coupling strength (w2 + w1)/(w2 - w1) = 7
+    cert = construct_optimal(cov, np.sqrt(4.0 / 3.0))
+    w = cert.weights
+    assert np.abs(w - [3.0, 4.0]).max() <= 1e-12
+    assert (w[1] + w[0]) / (w[1] - w[0]) == pytest.approx(7.0)
     assert np.linalg.norm(cert.pair.drift) == pytest.approx(np.sqrt(986.45), rel=1e-9)
 
 

@@ -8,14 +8,17 @@ from fpopt import (
     Covariance,
     InvalidConstant,
     InvalidMatrix,
+    MixedEquilibria,
     NotAntisymmetric,
     NotPSD,
+    Schedule,
     TraceBudgetExceeded,
     baseline_envelope,
     construct_optimal,
     equidistribute_basis,
     general_eigenvalues,
     make_pair,
+    same_equilibrium,
     spectral_gap,
     validate_pair,
 )
@@ -41,6 +44,20 @@ def test_covariance_cached_data():
     direction = cov.fastest_direction
     assert np.linalg.norm(cov.matrix @ direction - cov.variances[0] * direction) <= 1e-10
     assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_same_equilibrium_is_scale_free():
+    # the distance is judged relative to the covariances' own size
+    small, swapped = Covariance(np.diag([1e-14, 2e-14])), Covariance(np.diag([2e-14, 1e-14]))
+    assert not same_equilibrium(small, swapped)
+    with pytest.raises(MixedEquilibria):
+        Schedule([CoefficientPair(small, small.inv, np.eye(2)),
+                  CoefficientPair(swapped, swapped.inv, np.eye(2))], [1.0])
+    # norms beyond the float range are taken after a power-of-two scaling
+    assert not same_equilibrium(Covariance(np.diag([1e200, 1e200])),
+                                Covariance(np.diag([1e200, 1.0])))
+    cov = Covariance(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    assert same_equilibrium(cov, Covariance(cov.matrix * (1.0 + 1e-15)))
 
 
 def test_covariance_rejects_indefinite():
@@ -177,6 +194,19 @@ def test_stationarity_is_judged_without_overflow():
         report = validate_pair(far)
         assert report.stationarity_residual == np.inf
         assert not report.admissible and not report.passed
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-12, 1e-200])
+def test_admissibility_is_scale_free(s):
+    # C K + K C^T - 2 D = 2 s [[1, 0.3], [0.3, 2]]: never admissible, and
+    # there is no absolute floor under which the residual would pass
+    pair = CoefficientPair(Covariance(np.eye(2)), s * np.array([[1.0, 0.3], [0.3, 2.0]]),
+                           np.zeros((2, 2)))
+    report = validate_pair(pair)
+    assert not report.admissible and not report.passed
+    # the zero pair is admissible: its residual 0 is within 0
+    assert validate_pair(CoefficientPair(Covariance(np.eye(2)), np.zeros((2, 2)),
+                                         np.zeros((2, 2)))).admissible
 
 
 def test_skew_certificate_is_taken_without_overflow():

@@ -38,6 +38,17 @@ from fpopt.propagator import (
 )
 from helpers import integrate_flow, random_admissible_pair, random_covariance
 
+#: Two distinct real eigenvalues, 1 +- sqrt(3)/2.
+REAL_SPLIT = np.array([[0.0, -0.5], [0.5, 2.0]])
+#: The reference rotation: eigenvalues 1 +- i sqrt(48), sharp constant sqrt(4/3).
+ROTATION = np.array([[0.0, -7.0], [7.0, 2.0]])
+
+
+def time_scaled_pair(a, s):
+    """The admissible pair K = I/s, C = s a, D = (a + a^T)/2: its whitened
+    drift is s a, so it is the problem of ``a`` with time rescaled by 1/s."""
+    return CoefficientPair(Covariance(np.eye(2) / s), s * a, 0.5 * (a + a.T))
+
 
 # ---------------------------------------------------------------- schedules
 
@@ -490,6 +501,16 @@ def test_sharp_constant_rejects_unsustainable_rate():
         sharp_constant(rotating_pair(7.0), 3.0)
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-10])
+def test_sharp_constant_rate_check_is_scale_free(s):
+    # the rate may exceed the spectral gap by 1e-8 relative, at any time scale
+    pair = time_scaled_pair(ROTATION, s)
+    gap = spectral_gap(pair)
+    with pytest.raises(RateTooLarge):
+        sharp_constant(pair, 1.001 * gap)
+    assert sharp_constant(pair, gap) == pytest.approx(np.sqrt(4.0 / 3.0), rel=1e-9)
+
+
 def test_sharp_constant_rejects_short_horizon():
     with pytest.raises(ValueError):
         sharp_constant(rotating_pair(7.0), 1.0, t_max=5.0)
@@ -524,6 +545,15 @@ def test_best_constant_2d_preconditions():
     cov3 = Covariance(np.eye(3))
     with pytest.raises(NotApplicable2D):
         best_constant_2d(CoefficientPair(cov3, np.eye(3), np.eye(3)))
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-10])
+def test_best_constant_2d_is_scale_free(s):
+    # equal real parts are judged relative to the eigenvalues' own size
+    with pytest.raises(NotApplicable2D):
+        best_constant_2d(time_scaled_pair(REAL_SPLIT, s))
+    assert best_constant_2d(time_scaled_pair(ROTATION, s)) \
+        == pytest.approx(np.sqrt(4.0 / 3.0), rel=1e-12)
 
 
 # -------------------------------------------------------- initial decay rate

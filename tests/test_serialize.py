@@ -39,7 +39,7 @@ def test_certificate_round_trip():
     assert np.abs(np.array(doc["Q"]) - cert.Q).max() <= 1e-15
     assert doc["constant"] == pytest.approx(cert.constant, rel=1e-15)
     assert doc["variant"] == "transpose"
-    assert np.abs(np.array(doc["weights"]) - cert.weights.values).max() <= 1e-15
+    assert np.abs(np.array(doc["weights"]) - cert.weights).max() <= 1e-15
 
 
 def test_schedule_document_durations():
