@@ -15,7 +15,6 @@ from .errors import (
     InvalidInterval,
     InvalidMatrix,
     MixedEquilibria,
-    NotAntisymmetric,
     NotApplicable2D,
     NotPSD,
     NotSymmetric,
@@ -29,7 +28,6 @@ from .kernel import (
     expm_stack,
     general_eigenvalues,
     kalman_rank,
-    spectral_norm,
 )
 from .equilibrium import (
     ADMISSIBILITY_TOL,
@@ -37,13 +35,11 @@ from .equilibrium import (
     Covariance,
     ValidationReport,
     baseline_envelope,
-    make_pair,
     same_equilibrium,
     spectral_gap,
     validate_pair,
 )
 from .construction import (
-    EquidistributingBasis,
     GrowthRow,
     OptimalCertificate,
     arithmetic_weights,
@@ -74,7 +70,6 @@ __all__ = [
     "CoefficientPair",
     "Covariance",
     "EigenFailure",
-    "EquidistributingBasis",
     "FpoptError",
     "GrowthRow",
     "InvalidConstant",
@@ -82,7 +77,6 @@ __all__ = [
     "InvalidMatrix",
     "MixedEquilibria",
     "NormCurve",
-    "NotAntisymmetric",
     "NotApplicable2D",
     "NotPSD",
     "NotSymmetric",
@@ -107,7 +101,6 @@ __all__ = [
     "growth_study",
     "initial_decay_rate",
     "kalman_rank",
-    "make_pair",
     "max_initial_decay",
     "norm_curve",
     "propagator",
@@ -115,7 +108,6 @@ __all__ = [
     "sharp_constant",
     "skew_coupling",
     "spectral_gap",
-    "spectral_norm",
     "tangency_time",
     "validate_pair",
 ]

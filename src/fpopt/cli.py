@@ -4,9 +4,10 @@ Subcommands: ``optimize`` (build and serialise an optimal pair),
 ``validate`` (check an explicit pair), ``curve`` (sample a decay curve to
 CSV), ``compare`` (rank schedules by sharp constant), and ``reproduce``
 (regenerate the bundled 2D benchmark figure data).  Exit codes: 2 unparsable
-input, 3 invalid envelope constant, 4 failed validation, 5 unsustainable
-envelope rate, 6 mixed equilibria.  No plotting here on purpose; every
-consumer gets deterministic CSV/JSON bytes.
+input (also a horizon too long for the problem's time scale), 3 invalid
+envelope constant, 4 failed validation, 5 unsustainable envelope rate, 6
+mixed equilibria.  No plotting here on purpose; every consumer gets
+deterministic CSV/JSON bytes.
 
 Figures are rows of one table, ``_FIGURES``: each entry only declares its
 figure's rows, and :func:`cmd_reproduce` alone knows the output layout.
@@ -56,13 +57,16 @@ def _fail(message: str, code: int) -> int:
 
 
 def _positive(name: str, value) -> float:
-    """``value`` as a float, or a parse failure unless it is a positive number."""
+    """``value`` as a float, or a parse failure unless it is a finite
+    positive number (a boolean is not a number here)."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = float(value)
     except (TypeError, ValueError):
         raise ProblemFormatError(f"{name} must be a number, got {value!r}") from None
-    if not value > 0:
-        raise ProblemFormatError(f"{name} must be positive, got {value:g}")
+    if not 0.0 < value < np.inf:
+        raise ProblemFormatError(f"{name} must be finite and positive, got {value:g}")
     return value
 
 

@@ -49,24 +49,9 @@ EQUIDIST_TOL = 1e-10
 VARIANTS = ("standard", "transpose")
 
 
-@dataclass(frozen=True)
-class EquidistributingBasis:
-    """Orthonormal basis in which a PSD matrix has constant diagonal.
-
-    ``vectors`` holds the basis columns, ``target`` the common diagonal
-    value (the trace divided by the dimension).
-    """
-
-    vectors: np.ndarray
-    target: float
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
-
-def equidistribute_basis(matrix) -> EquidistributingBasis:
-    """Build an orthonormal basis equalising the diagonal of a PSD matrix.
+def equidistribute_basis(matrix) -> np.ndarray:
+    """Orthonormal basis, as matrix columns, in which a PSD matrix has
+    constant diagonal ``Tr(M)/d``.
 
     Constructive Schur-Horn sweep.  Working on ``A = Psi^T M Psi`` with
     ``Psi`` starting at the identity, visit coordinates ``p = 0..d-2`` in
@@ -123,7 +108,7 @@ def equidistribute_basis(matrix) -> EquidistributingBasis:
     spread = float(np.abs(np.diag(a) - tau).max())
     if spread > EQUIDIST_TOL * abs(tau):
         raise AssertionError(f"sweep left diagonal spread {spread * scale:.3e}")
-    return EquidistributingBasis(vectors=psi, target=tau * scale)
+    return psi
 
 
 def arithmetic_weights(dim: int, budget: float) -> np.ndarray:
@@ -148,20 +133,21 @@ def arithmetic_weights(dim: int, budget: float) -> np.ndarray:
     return weights
 
 
-def skew_coupling(basis: EquidistributingBasis, weights: np.ndarray,
+def skew_coupling(basis: np.ndarray, weights: np.ndarray,
                   whitened_diffusion) -> np.ndarray:
-    """Antisymmetric coupling in basis coordinates.
+    """Antisymmetric coupling in the coordinates of the orthonormal
+    ``basis`` columns.
 
     Entry (j, k), j != k, is ``(w_j + w_k) / (w_j - w_k)`` times the basis
     matrix element of the whitened diffusion; the diagonal is zero.  This is
     exactly the coupling that turns the weight matrix into a Lyapunov
     certificate for the combined flow.
     """
-    m = kernel.as_square(whitened_diffusion)
+    basis, m = kernel.as_square(basis), kernel.as_square(whitened_diffusion)
     w = np.asarray(weights, dtype=float)
-    if basis.dim != w.size or m.shape[0] != basis.dim:
+    if len(basis) != w.size or len(m) != len(basis):
         raise ValueError("basis, weights and diffusion dimensions must agree")
-    elements = basis.vectors.T @ m @ basis.vectors
+    elements = basis.T @ m @ basis
     num = w[:, None] + w[None, :]
     den = w[:, None] - w[None, :]
     np.fill_diagonal(den, 1.0)
@@ -176,19 +162,20 @@ class OptimalCertificate:
 
     ``P`` defines the weighted norm in which the whitened flow contracts
     exactly at ``rate``; ``Q = P^{-1}`` satisfies the Lyapunov identity with
-    the whitened skew and diffusion.  ``weights`` is the arithmetic ladder
-    of :func:`arithmetic_weights` for ``budget``, the eigenvalues of ``Q``
-    (of ``P`` in the transposed variant), and ``constant = sqrt(kappa(P))
-    = sqrt(w[-1] / w[0])`` is the certified envelope constant, equal to the
-    budget up to rounding.  In the isotropic case the symmetric pair
-    achieves constant 1 and ``weights`` is None.  ``variant`` records
-    whether the transposed skew was used; both variants certify the same
-    envelope.
+    the whitened skew and diffusion.  ``basis`` holds the orthonormal
+    columns of :func:`equidistribute_basis`, the eigenvectors of both.
+    ``weights`` is the arithmetic ladder of :func:`arithmetic_weights` for
+    ``budget``, the eigenvalues of ``Q`` (of ``P`` in the transposed
+    variant), and ``constant = sqrt(kappa(P)) = sqrt(w[-1] / w[0])`` is the
+    certified envelope constant, equal to the budget up to rounding.  In
+    the isotropic case the symmetric pair achieves constant 1, ``basis`` is
+    the identity and ``weights`` is None.  ``variant`` records whether the
+    transposed skew was used; both variants certify the same envelope.
     """
 
     pair: CoefficientPair
     direction: np.ndarray
-    basis: EquidistributingBasis
+    basis: np.ndarray
     weights: Optional[np.ndarray]
     Q: np.ndarray
     P: np.ndarray
@@ -237,7 +224,7 @@ def construct_optimal(covariance: Covariance, budget: float,
         eye = np.eye(d)
         return OptimalCertificate(
             pair=pair, direction=covariance.fastest_direction,
-            basis=EquidistributingBasis(vectors=eye, target=rate),
+            basis=eye,
             weights=None, Q=eye, P=eye.copy(),
             budget=budget, constant=1.0, rate=rate, variant=variant)
 
@@ -249,14 +236,14 @@ def construct_optimal(covariance: Covariance, budget: float,
     basis = equidistribute_basis(whitened_diffusion)
     weights = arithmetic_weights(d, budget)
     coupling = skew_coupling(basis, weights, whitened_diffusion)
-    whitened_skew = basis.vectors @ coupling @ basis.vectors.T
+    whitened_skew = basis @ coupling @ basis.T
     if variant == "transpose":
         whitened_skew = -whitened_skew
         q_eigs, p_eigs = 1.0 / weights, weights
     else:
         q_eigs, p_eigs = weights, 1.0 / weights
-    q = basis.vectors @ np.diag(q_eigs) @ basis.vectors.T
-    p = basis.vectors @ np.diag(p_eigs) @ basis.vectors.T
+    q = basis @ np.diag(q_eigs) @ basis.T
+    p = basis @ np.diag(p_eigs) @ basis.T
     drift = covariance.unwhiten_drift(whitened_diffusion + whitened_skew)
     pair = CoefficientPair(covariance, drift, diffusion)
     return OptimalCertificate(

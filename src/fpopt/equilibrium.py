@@ -15,14 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernel
-from .errors import (
-    InvalidConstant,
-    InvalidMatrix,
-    NotAntisymmetric,
-    NotPSD,
-    NotSymmetric,
-    TraceBudgetExceeded,
-)
+from .errors import InvalidConstant, InvalidMatrix, NotPSD, NotSymmetric, TraceBudgetExceeded
 
 #: Absolute slack on the trace budget Tr(D) <= d.  Pairs over budget are
 #: rejected, never rescaled: rescaling would silently change the time unit.
@@ -209,22 +202,6 @@ class CoefficientPair:
     def __repr__(self):
         return (f"CoefficientPair(dim={self.dim}, trace_diffusion="
                 f"{self.trace_diffusion:.6g})")
-
-
-def make_pair(covariance: Covariance, diffusion, skew) -> CoefficientPair:
-    """Assemble the admissible pair with drift ``C = (D + J) K^{-1}``.
-
-    ``diffusion`` must be symmetric positive semi-definite within the trace
-    budget, ``skew`` antisymmetric; those are exactly the degrees of freedom
-    that leave the equilibrium invariant.
-    """
-    diffusion = kernel.as_square(diffusion)
-    skew = kernel.as_square(skew)
-    if kernel.antisymmetry_defect(skew) > kernel.SYM_TOL:
-        raise NotAntisymmetric("skew part must be antisymmetric")
-    skew = 0.5 * (skew - skew.T)
-    drift = (diffusion + skew) @ covariance.inv
-    return CoefficientPair(covariance, drift, diffusion)
 
 
 class ValidationReport:

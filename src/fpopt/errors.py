@@ -13,10 +13,6 @@ class NotSymmetric(FpoptError):
     """A matrix required to be symmetric is not, beyond tolerance."""
 
 
-class NotAntisymmetric(FpoptError):
-    """A matrix required to be antisymmetric is not, beyond tolerance."""
-
-
 class NotPSD(FpoptError):
     """A matrix required to be positive (semi-)definite is not."""
 
@@ -34,7 +30,8 @@ class InvalidConstant(FpoptError):
 
 
 class InvalidInterval(FpoptError):
-    """A propagator was requested on an interval with t2 < t1."""
+    """A propagator was requested on an interval with t2 < t1, or a decay
+    curve or envelope on a horizon too long for the problem's time scale."""
 
 
 class RateTooLarge(FpoptError):

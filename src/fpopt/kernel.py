@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EigenFailure, InvalidMatrix, NotPSD, NotSymmetric
 
-#: Relative Frobenius tolerance for accepting a matrix as (anti)symmetric.
+#: Relative Frobenius tolerance for accepting a matrix as symmetric.
 #: Inputs in this package are constructed analytically, so the tolerance is
 #: tight on purpose: a larger defect is a real bug, not noise.
 SYM_TOL = 1e-12
@@ -55,24 +55,14 @@ def binary_exponent(a) -> int:
     return int(np.frexp(np.abs(a).max(initial=0.0))[1])
 
 
-def _relative_defect(a, sign: float) -> float:
-    """``||a + sign a^T|| / ||a||``, taken on ``a`` scaled by
-    ``2**-binary_exponent(a)``."""
+def symmetry_defect(a) -> float:
+    """Relative Frobenius distance ||a - a^T|| / ||a|| (0 for the zero
+    matrix), taken on ``a`` scaled by ``2**-binary_exponent(a)``."""
     a = np.asarray(a, dtype=float)
     if not np.any(a):
         return 0.0
     a = np.ldexp(a, -binary_exponent(a))
-    return float(np.linalg.norm(a + sign * a.T) / np.linalg.norm(a))
-
-
-def symmetry_defect(a) -> float:
-    """Relative Frobenius distance ||a - a^T|| / ||a|| (0 for the zero matrix)."""
-    return _relative_defect(a, -1.0)
-
-
-def antisymmetry_defect(a) -> float:
-    """Relative Frobenius distance ||a + a^T|| / ||a|| (0 for the zero matrix)."""
-    return _relative_defect(a, 1.0)
+    return float(np.linalg.norm(a - a.T) / np.linalg.norm(a))
 
 
 def symmetric_psd(a, name: str):
@@ -180,12 +170,6 @@ def expm_stack(a):
             return scipy.linalg.expm(-_times(t, 1)[:, None, None] * a)
     stack.factored = bool(well_conditioned)
     return stack
-
-
-def spectral_norm(a) -> float:
-    """Largest singular value of ``a`` (the operator norm on Euclidean space)."""
-    a = as_square(a)
-    return float(np.linalg.norm(a, 2))
 
 
 def general_eigenvalues(a) -> np.ndarray:

@@ -233,25 +233,24 @@ def propagator(source: Union[Schedule, CoefficientPair], t1: float, t2: float) -
 
 @dataclass(frozen=True)
 class NormCurve:
-    """Sampled decay curve ``t -> ||T(t, 0)||`` with an optional envelope.
+    """Sampled decay curve ``t -> ||T(t, 0)||`` with its sharp envelope.
 
     ``values`` always start at 1 and stay in (0, 1]; they oscillate below
     the envelope ``sharp_constant * exp(-rate t)`` rather than decreasing
-    monotonically.  When a rate is attached, ``sharp_constant`` is the value
-    of :func:`sharp_constant`: exact for the periodic 2D curves, a lower
-    bound in higher dimension.  The grid then contains the first refined
-    tangency point, so the envelope touches the curve on the grid itself.
+    monotonically.  ``sharp_constant`` is the value of
+    :func:`sharp_constant` at ``rate``: exact for the periodic 2D curves, a
+    lower bound in higher dimension.  The grid contains the first refined
+    tangency point whenever it falls inside the horizon, so the envelope
+    touches the curve on the grid itself.
     """
 
     times: np.ndarray
     values: np.ndarray
-    rate: Optional[float] = None
-    sharp_constant: Optional[float] = None
+    rate: float
+    sharp_constant: float
 
     @property
     def envelope(self) -> np.ndarray:
-        if self.rate is None or self.sharp_constant is None:
-            raise ValueError("this curve carries no envelope; pass a rate when sampling")
         return self.sharp_constant * np.exp(-self.rate * self.times)
 
     def write_csv(self, target) -> None:
@@ -275,51 +274,76 @@ def write_columns(target, header: str, *columns: np.ndarray) -> None:
 
 def norm_curve(source: Union[Schedule, CoefficientPair], t_max: float,
                samples: int = DEFAULT_SAMPLES, rate: Optional[float] = None) -> NormCurve:
-    """Sample the propagator norm on ``[0, t_max]``.
+    """Sample the propagator norm on ``[0, t_max]`` with its sharp envelope.
 
     The grid is uniform with ``samples`` points plus the schedule's interior
-    switch times.  When ``rate`` is given, the envelope constant at that
-    rate is computed as by :func:`sharp_constant` (exact for the periodic
-    2D curves, a lower bound in higher dimension), and the first tangency
-    point, if it falls inside ``[0, t_max]``, is added to the grid.
+    switch times.  The envelope rate is ``rate``, by default the spectral
+    gap of the final pair.  Its constant is computed as by
+    :func:`sharp_constant` (exact for the periodic 2D curves, a lower bound
+    in higher dimension), and the first tangency point, if it falls inside
+    ``[0, t_max]``, is added to the grid.
 
-    Every grid point is evaluated once.  With a rate, the curve reuses the
-    envelope scan's values at every time the scan evaluated, its grid and
-    its refined peaks: when ``t_max`` is the scan horizon and ``samples`` at
+    Every grid point is evaluated once.  The curve reuses the envelope
+    scan's values at every time the scan evaluated, its grid and its
+    refined peaks: when ``t_max`` is the scan horizon and ``samples`` at
     least ``MIN_SCAN_SAMPLES`` (the default ``t_max = 20 / rate``), that is
     the whole grid, the tangency point included.  The values come from the
-    flow weighted at ``rate``, or at the spectral gap of the final pair
-    when no rate is given, so they keep their relative accuracy down to
+    flow weighted at the rate, so they keep their relative accuracy down to
     the smallest normal double.
+
+    Raises
+    ------
+    RateTooLarge
+        As :func:`sharp_constant`; with the default rate, when the final
+        pair's boundary eigenvalue is defective.
+    InvalidInterval
+        If ``t_max`` is too long for the problem's time scale
+        (:func:`_check_horizon`).
     """
     schedule = _as_schedule(source)
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     if samples < 2:
         raise ValueError("need at least two samples")
+    rate = float(spectral_gap(schedule.asymptotic_pair) if rate is None else rate)
+    scan = _scan_envelope(schedule, rate, t_max=None, samples=samples)
+    _check_horizon(schedule, rate, t_max, "t_max")
     grid = np.linspace(0.0, float(t_max), int(samples))
     extra = [s for s in schedule.switch_times if 0.0 < s < t_max]
-    constant = None
-    if rate is None:
-        gap = spectral_gap(schedule.asymptotic_pair)
-        flow = _Flow(schedule, shift=gap)
-    else:
-        scan = _scan_envelope(schedule, float(rate), t_max=None, samples=samples)
-        flow = scan.flow
-        constant = float(np.exp(scan.log_sup))
-        if 0.0 < scan.first_t < t_max:
-            extra.append(scan.first_t)
+    if 0.0 < scan.first_t < t_max:
+        extra.append(scan.first_t)
     if extra:
         grid = np.unique(np.concatenate((grid, np.asarray(extra))))
+    # reuse the scan's values wherever it has them
+    at = np.minimum(np.searchsorted(scan.times, grid), len(scan.times) - 1)
+    fresh = scan.times[at] != grid
     log_weighted = np.empty(len(grid))
-    fresh = np.ones(len(grid), dtype=bool)
-    if rate is not None:   # reuse the scan's values wherever it has them
-        at = np.minimum(np.searchsorted(scan.times, grid), len(scan.times) - 1)
-        fresh = scan.times[at] != grid
-        log_weighted[~fresh] = scan.log_norms[at[~fresh]]
-    log_weighted[fresh] = flow.log_norms(grid[fresh])
-    values = np.exp(log_weighted - flow.shift * grid)
-    return NormCurve(times=grid, values=values, rate=rate, sharp_constant=constant)
+    log_weighted[~fresh] = scan.log_norms[at[~fresh]]
+    log_weighted[fresh] = scan.flow.log_norms(grid[fresh])
+    values = np.exp(log_weighted - rate * grid)
+    return NormCurve(times=grid, values=values, rate=rate,
+                     sharp_constant=float(np.exp(scan.log_sup)))
+
+
+def _check_horizon(schedule: Schedule, shift: float, horizon: float, name: str) -> None:
+    """Reject a ``horizon`` too long for the flow weighted at ``shift``.
+
+    The eigenvalues of each shifted drift ``a = C~_i - shift I`` are rounded
+    by about ``eps ||a||`` times their condition number, which makes the
+    weights ``exp(-t Re lambda)`` of :func:`kernel.expm_stack` overflow
+    near ``t ||a|| = 1e18``.  The cap ``1 / (eps max_i ||a_i||_F)`` is set
+    by the problem's own time scale: up to it, the rounding moves those
+    exponents by at most about the condition number, which the factored
+    path bounds by ``kernel.EIG_COND_MAX``.  Raises
+    :class:`InvalidInterval` naming ``name``.
+    """
+    eps = np.finfo(float).eps
+    scale = max(np.linalg.norm(p.whitened_drift - shift * np.eye(schedule.dim))
+                for p in schedule.pairs)
+    if horizon * eps * scale > 1.0:
+        raise InvalidInterval(
+            f"{name} {horizon:.6g} exceeds {1.0 / (eps * scale):.6g}, the longest horizon "
+            "this problem's time scale allows (1 / (eps ||C~ - rate I||_F))")
 
 
 class _ScanResult(NamedTuple):
@@ -388,8 +412,8 @@ def _refine_peaks(flow: _Flow, grid: np.ndarray, values: np.ndarray, centres: np
 
 def _scan_envelope(schedule: Schedule, rate: float, t_max: Optional[float],
                    samples: int) -> _ScanResult:
-    if not rate > 0:
-        raise ValueError("rate must be positive")
+    if not 0.0 < rate < np.inf:
+        raise ValueError("rate must be positive and finite")
     # A rate beyond the asymptotic decay of the schedule makes the weighted
     # curve diverge, so its supremum does not exist.  The asymptotic decay
     # rate is the spectral gap of the final pair (the curves here are not
@@ -405,6 +429,7 @@ def _scan_envelope(schedule: Schedule, rate: float, t_max: Optional[float],
         if t_max < 20.0 / rate:
             raise ValueError("horizon too short to capture the envelope (need >= 20/rate)")
         horizon = max(float(t_max), 4.0 * last_switch)
+    _check_horizon(schedule, rate, horizon, "envelope horizon")
     n = max(int(samples), MIN_SCAN_SAMPLES)
     grid = np.linspace(0.0, horizon, n)
     interior = [s for s in schedule.switch_times if s < horizon]
@@ -456,7 +481,7 @@ def sharp_constant(source: Union[Schedule, CoefficientPair], rate: float,
     local maximum.  The default horizon is ``max(20/rate, 4 * last
     switch)``; an explicit ``t_max`` shorter than ``20/rate`` is rejected.
     The weighted curve is evaluated as such, so the horizon may be any
-    multiple of ``1/rate``.
+    multiple of ``1/rate`` up to the cap of :func:`_check_horizon`.
 
     The result is exact when the weighted curve is periodic after the last
     switch, as for the 2D rotating pairs and the schedules ending in one:
@@ -470,6 +495,8 @@ def sharp_constant(source: Union[Schedule, CoefficientPair], rate: float,
         If the rate exceeds the asymptotic decay of the schedule (the
         spectral gap of its final pair), or the weighted curve keeps
         growing across the horizon; either way the supremum diverges.
+    InvalidInterval
+        If the horizon is too long for the problem's time scale.
     """
     scan = _scan_envelope(_as_schedule(source), float(rate), t_max, samples)
     return float(np.exp(scan.log_sup))

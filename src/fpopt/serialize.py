@@ -183,7 +183,7 @@ def certificate_to_dict(cert: OptimalCertificate) -> dict:
         "J": _listify(cert.pair.skew),
         "Q": _listify(cert.Q),
         "P": _listify(cert.P),
-        "basis": _listify(cert.basis.vectors),
+        "basis": _listify(cert.basis),
         "direction": _listify(cert.direction),
         "weights": None if cert.weights is None else _listify(cert.weights),
         "c": float(cert.budget),

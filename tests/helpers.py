@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.integrate
 
-from fpopt import Covariance, make_pair
+from fpopt import CoefficientPair, Covariance
 
 
 def random_spd(rng, dim, shift=0.5):
@@ -13,6 +13,12 @@ def random_spd(rng, dim, shift=0.5):
 
 def random_covariance(rng, dim, shift=0.5):
     return Covariance(random_spd(rng, dim, shift))
+
+
+def make_pair(cov, diffusion, skew):
+    """The admissible pair with drift C = (D + J) K^{-1}, for a symmetric
+    PSD diffusion D within the trace budget and an antisymmetric skew J."""
+    return CoefficientPair(cov, (diffusion + skew) @ cov.inv, diffusion)
 
 
 def random_admissible_pair(rng, cov):

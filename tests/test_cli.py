@@ -305,6 +305,42 @@ def test_curve_nonpositive_rate_or_horizon_exit_2(tmp_path, capsys):
         assert "rate" in err
 
 
+CONSTRUCTED = {"K": {"diag": [20, 1]}, "pair": {"construct": {"c": 1.5}}}
+
+
+@pytest.mark.parametrize("flags, analysis, field", [
+    (("--tmax", "inf"), None, "t_max"),
+    ((), {"t_max": float("inf")}, "t_max"),   # json writes Infinity
+    ((), {"t_max": True}, "t_max"),
+    (("--rate", "inf"), None, "rate"),
+    ((), {"rate": True}, "rate"),
+], ids=["tmax-inf", "analysis-tmax-inf", "analysis-tmax-true", "rate-inf",
+        "analysis-rate-true"])
+def test_curve_nonfinite_or_boolean_rate_or_horizon_exit_2(tmp_path, capsys, flags,
+                                                           analysis, field):
+    # a RuntimeWarning on the way would fail the run (warnings are errors)
+    doc = {**CONSTRUCTED, **({"analysis": analysis} if analysis else {})}
+    code, out, err = run(capsys, "curve", write_json(tmp_path / "p.json", doc), *flags)
+    assert code == 2
+    assert not out
+    assert field in err
+
+
+@pytest.mark.parametrize("flags, doc, message", [
+    (("--tmax", "1e20", "--samples", "50"), CONSTRUCTED, "t_max 1e+20 exceeds"),
+    (("--samples", "50"), {"K": {"diag": [20, 1]}, "schedule": [
+        {"construct": {"c": 1.5}, "duration": 1e20}, {"construct": {"c": 2.0}}]},
+     "envelope horizon 4e+20 exceeds"),
+], ids=["tmax-1e20", "segment-1e20"])
+def test_curve_horizon_beyond_the_time_scale_exit_2(tmp_path, capsys, flags, doc, message):
+    # the flow weighted at the rate would overflow there; the cap is
+    # 1 / (eps ||C~ - rate I||_F), about 1.1e15 for this pair
+    code, out, err = run(capsys, "curve", write_json(tmp_path / "p.json", doc), *flags)
+    assert code == 2
+    assert not out
+    assert message in err
+
+
 def test_curve_bad_grid_size_exit_2(tmp_path, capsys):
     path = write_json(tmp_path / "p.json", anisotropic_doc({"pair": rotating_matrices(7.0)}))
     for value in ("1", "0", "-3"):
@@ -360,7 +396,7 @@ def test_compare_orders_switching_study(tmp_path, capsys):
 
 def test_compare_nonpositive_rate_exit_2(tmp_path, capsys):
     path = write_json(tmp_path / "a.json", anisotropic_doc({"pair": rotating_matrices(7.0)}))
-    for rate in ("0", "-1"):
+    for rate in ("0", "-1", "inf"):
         code, out, err = run(capsys, "compare", path, "--rate", rate)
         assert code == 2
         assert not out

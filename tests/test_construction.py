@@ -11,7 +11,6 @@ from fpopt import (
     frobenius_bound,
     growth_study,
     skew_coupling,
-    spectral_norm,
     validate_pair,
 )
 from helpers import random_covariance
@@ -21,16 +20,16 @@ from helpers import random_covariance
 
 def test_equidistribute_scalar_matrix_trivial():
     basis = equidistribute_basis(3.0 * np.eye(4))
-    assert np.array_equal(basis.vectors, np.eye(4))
-    assert basis.target == pytest.approx(3.0)
+    assert np.array_equal(basis, np.eye(4))
+    assert np.array_equal(np.diag(basis.T @ (3.0 * np.eye(4)) @ basis), np.full(4, 3.0))
 
 
 def test_equidistribute_2d_rank_deficient():
     basis = equidistribute_basis(np.diag([2.0, 0.0]))
-    diag = np.diag(basis.vectors.T @ np.diag([2.0, 0.0]) @ basis.vectors)
+    diag = np.diag(basis.T @ np.diag([2.0, 0.0]) @ basis)
     assert np.abs(diag - 1.0).max() <= 1e-12
     # the basis projects equally onto the diffusion direction
-    overlaps = basis.vectors.T @ np.array([1.0, 0.0])
+    overlaps = basis.T @ np.array([1.0, 0.0])
     assert np.abs(overlaps**2 - 0.5).max() <= 1e-12
 
 
@@ -40,9 +39,9 @@ def test_equidistribute_random_psd():
     m = g @ g.T
     basis = equidistribute_basis(m)
     tau = np.trace(m) / 5.0
-    diag = np.diag(basis.vectors.T @ m @ basis.vectors)
+    diag = np.diag(basis.T @ m @ basis)
     assert np.abs(diag - tau).max() <= 1e-10 * max(tau, 1.0)
-    assert np.linalg.norm(basis.vectors.T @ basis.vectors - np.eye(5)) <= 1e-11
+    assert np.linalg.norm(basis.T @ basis - np.eye(5)) <= 1e-11
 
 
 def test_equidistribute_is_scale_free():
@@ -53,13 +52,19 @@ def test_equidistribute_is_scale_free():
     g = rng.normal(size=(5, 5))
     m = g @ g.T
     base = equidistribute_basis(m)
+    base_diag = np.diag(base.T @ m @ base)
     for k in (-900, -60, -20, 40, 900):
-        scaled = equidistribute_basis(np.ldexp(m, k))
-        assert np.array_equal(scaled.vectors, base.vectors)
-        assert scaled.target == np.ldexp(base.target, k)
+        scaled_m = np.ldexp(m, k)
+        scaled = equidistribute_basis(scaled_m)
+        assert np.array_equal(scaled, base)
+        # the equalised diagonal scales exactly, and equals trace / d
+        diag = np.diag(scaled.T @ scaled_m @ scaled)
+        assert np.array_equal(diag, np.ldexp(base_diag, k))
+        assert np.trace(scaled_m) / 5 == np.ldexp(np.trace(m) / 5, k)
+        assert np.abs(diag / (np.trace(scaled_m) / 5) - 1.0).max() <= 1e-10
     huge = np.diag([2e300, 0.0])
     basis = equidistribute_basis(huge)
-    diag = np.diag(basis.vectors.T @ huge @ basis.vectors)
+    diag = np.diag(basis.T @ huge @ basis)
     assert np.abs(diag / 1e300 - 1.0).max() <= 1e-12
 
 
@@ -118,7 +123,7 @@ def test_skew_coupling_rank_one_formula():
     basis = equidistribute_basis(diffusion_w)
     w = arithmetic_weights(4, 1.4)
     coupling = skew_coupling(basis, w, diffusion_w)
-    a = basis.vectors.T @ v
+    a = basis.T @ v
     assert np.abs(a**2 - 0.25).max() <= 1e-10
     expected = np.zeros((4, 4))
     for j in range(4):
@@ -171,7 +176,7 @@ def test_certificate_invariants_random():
         cert = construct_optimal(cov, budget, variant=variant)
         pair, rate = cert.pair, cert.rate
         # equidistribution of the whitened diffusion over the basis
-        diag = np.diag(cert.basis.vectors.T @ pair.whitened_diffusion @ cert.basis.vectors)
+        diag = np.diag(cert.basis.T @ pair.whitened_diffusion @ cert.basis)
         assert np.abs(diag - rate).max() <= 1e-10 * rate
         # Lyapunov identity for (skew, Q)
         q, jw, dw = cert.Q, pair.whitened_skew, pair.whitened_diffusion
@@ -189,7 +194,7 @@ def test_certificate_invariants_random():
         # certified envelope holds on a dense grid
         grid = np.linspace(0.0, 20.0 / rate, 400)
         for t in grid:
-            assert np.exp(rate * t) * spectral_norm(expm(pair.whitened_drift, t)) \
+            assert np.exp(rate * t) * np.linalg.norm(expm(pair.whitened_drift, t), 2) \
                 <= cert.constant + 1e-8
         # condition number of the certificate equals the squared budget
         assert np.linalg.cond(cert.P) == pytest.approx(budget**2, rel=1e-10)
@@ -211,7 +216,7 @@ def test_construction_survives_ill_conditioning():
         assert abs(report.spectral_gap - rate) <= 1e-9 * rate
         grid = np.linspace(0.0, 20.0 / rate, 200)
         for t in grid:
-            assert np.exp(rate * t) * spectral_norm(expm(pair.whitened_drift, t)) \
+            assert np.exp(rate * t) * np.linalg.norm(expm(pair.whitened_drift, t), 2) \
                 <= 1.5 + 1e-8
 
 
@@ -220,8 +225,9 @@ def test_construction_validates_at_large_and_small_scales():
     # which an absolute pinning floor once left in the identity basis
     for variances in ([1e14, 2e14], [1e-14, 3e-14, 2e-14], [1e10, 5e10, 2e10, 3e10]):
         cert = construct_optimal(Covariance(np.array(variances)), 2.0)
-        diag = np.diag(cert.basis.vectors.T @ cert.pair.whitened_diffusion @ cert.basis.vectors)
-        assert np.abs(diag / cert.basis.target - 1.0).max() <= 1e-10
+        dw = cert.pair.whitened_diffusion
+        diag = np.diag(cert.basis.T @ dw @ cert.basis)
+        assert np.abs(diag / (np.trace(dw) / len(dw)) - 1.0).max() <= 1e-10
         assert validate_pair(cert.pair).passed
 
 

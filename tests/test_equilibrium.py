@@ -9,7 +9,6 @@ from fpopt import (
     InvalidConstant,
     InvalidMatrix,
     MixedEquilibria,
-    NotAntisymmetric,
     NotPSD,
     Schedule,
     TraceBudgetExceeded,
@@ -17,12 +16,11 @@ from fpopt import (
     construct_optimal,
     equidistribute_basis,
     general_eigenvalues,
-    make_pair,
     same_equilibrium,
     spectral_gap,
     validate_pair,
 )
-from helpers import random_admissible_pair, random_covariance
+from helpers import make_pair, random_admissible_pair, random_covariance
 
 
 # ------------------------------------------------------------ Covariance
@@ -72,7 +70,7 @@ def test_covariance_direction_sign_deterministic():
     assert np.array_equal(cov.fastest_direction, np.array([0.0, 1.0]))
 
 
-# ------------------------------------------------------------- make_pair
+# ------------------------------------------------------ admissible pairs
 
 def test_make_pair_symmetric_case():
     cov = Covariance(np.array([1.0, 2.0]))
@@ -102,14 +100,16 @@ def test_make_pair_reproduces_anisotropic_rotating_drift():
     assert np.abs(pair.whitened_drift - np.array([[0.0, -7.0], [7.0, 2.0]])).max() <= 1e-12
 
 
-def test_make_pair_rejects_bad_inputs():
+def test_pair_rejects_over_budget_or_indefinite_diffusion():
     cov = Covariance(np.array([1.0, 1.0]))
     with pytest.raises(TraceBudgetExceeded):
-        make_pair(cov, np.diag([2.0, 0.5]), np.zeros((2, 2)))
+        CoefficientPair(cov, np.diag([2.0, 0.5]), np.diag([2.0, 0.5]))
     with pytest.raises(NotPSD):
-        make_pair(cov, np.diag([1.0, -0.1]), np.zeros((2, 2)))
-    with pytest.raises(NotAntisymmetric):
-        make_pair(cov, np.eye(2), np.eye(2))
+        CoefficientPair(cov, np.diag([1.0, -0.1]), np.diag([1.0, -0.1]))
+    # the budget holds to TRACE_TOL: Tr(D) = d passes, d + 1e-9 does not
+    CoefficientPair(cov, np.diag([1.5, 0.5]), np.diag([1.5, 0.5]))
+    with pytest.raises(TraceBudgetExceeded):
+        CoefficientPair(cov, np.diag([1.5, 0.5 + 1e-9]), np.diag([1.5, 0.5 + 1e-9]))
 
 
 def test_psd_check_is_scale_free():

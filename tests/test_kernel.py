@@ -15,11 +15,11 @@ from fpopt import (
     expm_stack,
     general_eigenvalues,
     kalman_rank,
-    spectral_norm,
     validate_pair,
 )
 from fpopt.benchmarks import rotating_pair
-from fpopt.kernel import antisymmetry_defect, symmetry_defect
+from fpopt.kernel import symmetry_defect
+from fpopt.propagator import _log_top_singular
 from helpers import random_stable
 
 
@@ -139,36 +139,44 @@ def test_symmetry_defects_at_extreme_magnitudes():
     for scale in (1e300, 1.0, 1e-300):
         a = scale * np.array([[1.0, 1.0], [-1.0, 1.0]])
         assert symmetry_defect(a) == pytest.approx(np.sqrt(2.0), rel=1e-15)
-        assert antisymmetry_defect(a) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert symmetry_defect(a.T) == pytest.approx(np.sqrt(2.0), rel=1e-15)
         assert symmetry_defect(scale * np.eye(2)) == 0.0
     assert symmetry_defect(np.zeros((2, 2))) == 0.0
 
 
-# ------------------------------------------------------- spectral_norm
+# ------------------------------------------------------- spectral norm
+# The package's one spectral norm is the log top singular value of a stack,
+# propagator._log_top_singular: a closed form for 2x2 matrices, the top
+# eigenvalue of the Gram matrix otherwise.
+
+def _top_singular(m):
+    return np.exp(_log_top_singular(np.asarray(m, dtype=float)[None])[0][0])
+
 
 def test_spectral_norm_identity_and_diagonal():
-    assert spectral_norm(np.eye(4)) == pytest.approx(1.0, abs=1e-15)
-    assert spectral_norm(np.diag([1.0, -3.0])) == pytest.approx(3.0, abs=1e-15)
+    assert _top_singular(np.eye(4)) == pytest.approx(1.0, abs=1e-15)
+    assert _top_singular(np.eye(2)) == 1.0
+    assert _top_singular(np.diag([1.0, -3.0])) == pytest.approx(3.0, abs=1e-15)
+    assert _top_singular(np.diag([1.0, -3.0, 2.0])) == pytest.approx(3.0, abs=1e-15)
 
 
 def test_spectral_norm_against_gram_eigensolve():
+    # both routes against LAPACK's singular values
     rng = np.random.default_rng(5)
-    a = rng.normal(size=(5, 5))
-    gram_top = np.sqrt(np.linalg.eigvalsh(a.T @ a)[-1])
-    assert abs(spectral_norm(a) - gram_top) <= 1e-12 * gram_top
+    for d in (2, 5):
+        a = rng.normal(size=(d, d))
+        gram_top = np.sqrt(np.linalg.eigvalsh(a.T @ a)[-1])
+        assert abs(_top_singular(a) - gram_top) <= 1e-12 * gram_top
+        assert _top_singular(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-13)
 
 
 def test_spectral_norm_submultiplicative():
     rng = np.random.default_rng(6)
-    for _ in range(25):
-        a = rng.normal(size=(4, 4))
-        b = rng.normal(size=(4, 4))
-        assert spectral_norm(a @ b) <= spectral_norm(a) * spectral_norm(b) + 1e-12
-
-
-def test_spectral_norm_rejects_nonfinite():
-    with pytest.raises(InvalidMatrix):
-        spectral_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    for d in (2, 4):
+        for _ in range(25):
+            a = rng.normal(size=(d, d))
+            b = rng.normal(size=(d, d))
+            assert _top_singular(a @ b) <= _top_singular(a) * _top_singular(b) + 1e-12
 
 
 # -------------------------------------------------- general_eigenvalues

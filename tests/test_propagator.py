@@ -17,13 +17,11 @@ from fpopt import (
     construct_optimal,
     expm,
     initial_decay_rate,
-    make_pair,
     max_initial_decay,
     norm_curve,
     propagator,
     sharp_constant,
     spectral_gap,
-    spectral_norm,
     tangency_time,
     validate_pair,
 )
@@ -32,11 +30,12 @@ from fpopt.benchmarks import case_pairs, rotating_pair, split_schedule, symmetri
 from fpopt.propagator import (
     _CHUNK_ELEMENTS,
     _Flow,
+    _as_schedule,
     _log_top_singular,
     _refine_peaks,
     write_columns,
 )
-from helpers import integrate_flow, random_admissible_pair, random_covariance
+from helpers import integrate_flow, make_pair, random_admissible_pair, random_covariance
 
 #: Two distinct real eigenvalues, 1 +- sqrt(3)/2.
 REAL_SPLIT = np.array([[0.0, -0.5], [0.5, 2.0]])
@@ -117,7 +116,7 @@ def test_propagator_contraction_bound():
     schedule = Schedule(pairs, [0.3, 0.7])
     for _ in range(10):
         t1, t2 = np.sort(rng.uniform(0.0, 3.0, size=2))
-        assert spectral_norm(propagator(schedule, t1, t2)) <= 1.0 + 1e-12
+        assert np.linalg.norm(propagator(schedule, t1, t2), 2) <= 1.0 + 1e-12
 
 
 # ------------------------------------------------------- stacked evaluator
@@ -185,7 +184,7 @@ def test_flow_norms_match_mpmath_on_fast_rotation():
 @pytest.mark.parametrize("rate", [None, 1.0])
 def test_curve_norms_match_mpmath_at_long_horizons(rate):
     # ||T(t)|| near 2e-174 and 1e-304 at t * rate = 400 and 700: the flow is
-    # weighted at the rate, or at the spectral gap without one
+    # weighted at the rate, which defaults to the spectral gap
     mpmath = pytest.importorskip("mpmath")
     pair = rotating_pair(7.0)
     with mpmath.workdps(40):
@@ -381,6 +380,51 @@ def test_norm_curve_evaluates_each_grid_point_once(monkeypatch):
     assert len(times) - len(curve.times) < 0.02 * len(curve.times)   # the peak refinement's
 
 
+def test_norm_curve_default_rate_is_the_spectral_gap():
+    rng = np.random.default_rng(49)
+    for source in (construct_optimal(Covariance(np.array([20.0, 1.0])), 1.5).pair,
+                   split_schedule(rotating_pair(11.0), 0.1),
+                   construct_optimal(random_covariance(rng, 5), 2.0).pair):
+        default = norm_curve(source, 7.0, 300)
+        explicit = norm_curve(source, 7.0, 300,
+                              rate=spectral_gap(_as_schedule(source).asymptotic_pair))
+        assert default.rate == explicit.rate
+        assert default.sharp_constant == explicit.sharp_constant
+        assert np.array_equal(default.times, explicit.times)
+        assert np.array_equal(default.values, explicit.values)
+
+
+def test_norm_curve_rate_must_be_positive_and_finite():
+    # no decay, no envelope: the default rate must be positive like any other
+    cov = Covariance(np.eye(2))
+    with pytest.raises(ValueError, match="rate must be positive"):
+        norm_curve(CoefficientPair(cov, np.diag([1.0, 0.0]), np.diag([1.0, 0.0])), 1.0, 16)
+    with pytest.raises(ValueError, match="rate must be positive and finite"):
+        norm_curve(rotating_pair(7.0), 1.0, 16, rate=np.inf)
+
+
+def test_horizons_are_capped_by_the_problem_time_scale():
+    # the cap is 1 / (eps ||C~ - rate I||_F): below it the weighted flow
+    # cannot overflow and the values are exact zeros past the underflow;
+    # beyond it the curve and the envelope scan refuse instead of printing nan
+    pair = construct_optimal(Covariance(np.array([20.0, 1.0])), 1.5).pair
+    cap = 1.0 / (np.finfo(float).eps * np.linalg.norm(pair.whitened_drift - np.eye(2)))
+    assert 1e15 < cap < 1e18
+    curve = norm_curve(pair, 0.999 * cap, 50)
+    far = curve.times > 1e3
+    assert np.count_nonzero(far) == 49 and np.all(curve.values[far] == 0.0)
+    assert curve.sharp_constant == norm_curve(pair, 8.0, 50).sharp_constant
+    with pytest.raises(InvalidInterval, match="t_max"):
+        norm_curve(pair, 1.001 * cap, 50)
+    with pytest.raises(InvalidInterval, match="envelope horizon"):
+        sharp_constant(pair, 1.0, t_max=1.001 * cap)
+    with pytest.raises(InvalidInterval, match="envelope horizon"):
+        norm_curve(Schedule([pair, pair], [cap / 3.0]), 8.0, 50)
+    # a drift equal to rate * I has no time scale and no cap
+    _, balanced = max_initial_decay(Covariance(np.array([1.0, 2.0])))
+    assert np.all(norm_curve(balanced, 1e300, 4).values[1:] == 0.0)
+
+
 def test_norm_curve_symmetric_pair_explicit():
     cov = Covariance(np.array([1.0, 2.0]))
     pair = CoefficientPair(cov, cov.inv, np.eye(2))
@@ -402,7 +446,7 @@ def test_norm_curve_initial_slope_matches_diffusion_floor():
     for pair, slope in [(symmetric_pair(), 0.05),
                         (case_pairs()["fp3"], 0.1 / 1.05)]:
         h = 1e-6
-        drop = (1.0 - spectral_norm(expm(pair.whitened_drift, h))) / h
+        drop = (1.0 - np.linalg.norm(expm(pair.whitened_drift, h), 2)) / h
         assert drop == pytest.approx(slope, rel=1e-4)
         assert initial_decay_rate(pair) == pytest.approx(slope, rel=1e-12)
 
@@ -485,7 +529,7 @@ def test_weighted_curve_touches_high_rotation_limit():
     omega = np.sqrt(mu**2 - 1.0)
     for k in (1, 2, 3):
         t = k * np.pi / omega
-        assert np.exp(t) * spectral_norm(expm(pair.whitened_drift, t)) \
+        assert np.exp(t) * np.linalg.norm(expm(pair.whitened_drift, t), 2) \
             == pytest.approx(1.0, abs=1e-10)
 
 
@@ -577,7 +621,7 @@ def test_initial_decay_rate_finite_difference_oracle():
     expected = initial_decay_rate(pair)
     estimates = []
     for h in (1e-3, 5e-4):
-        estimates.append((1.0 - spectral_norm(expm(pair.whitened_drift, h))) / h)
+        estimates.append((1.0 - np.linalg.norm(expm(pair.whitened_drift, h), 2)) / h)
     # Richardson extrapolation kills the O(h) error term
     extrapolated = 2.0 * estimates[1] - estimates[0]
     assert extrapolated == pytest.approx(expected, abs=5e-6)
@@ -631,7 +675,7 @@ def test_tangency_recurrence_period():
     # oracle: locate the second supremum with a dense local grid search
     centre = first + period
     ts = np.linspace(centre - 0.02, centre + 0.02, 801)
-    vals = [np.exp(t) * spectral_norm(expm(pair.whitened_drift, t)) for t in ts]
+    vals = [np.exp(t) * np.linalg.norm(expm(pair.whitened_drift, t), 2) for t in ts]
     second = ts[int(np.argmax(vals))]
     assert second - first == pytest.approx(period, abs=1e-3)
 
