@@ -56,16 +56,9 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _positive(name: str, value) -> float:
-    """``value`` as a float, or a parse failure unless it is a finite
-    positive number (a boolean is not a number here)."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ProblemFormatError(f"{name} must be a number, got {value!r}") from None
-    if not 0.0 < value < np.inf:
+def _positive(name: str, value):
+    """``value``; a parse failure if it is given and not finite and positive."""
+    if value is not None and not 0.0 < value < np.inf:
         raise ProblemFormatError(f"{name} must be finite and positive, got {value:g}")
     return value
 
@@ -127,15 +120,10 @@ def cmd_curve(args) -> int:
     if rate is None:
         rate = spectral_gap(source.asymptotic_pair)
     rate = _positive("rate", rate)
-    t_max = args.tmax if args.tmax is not None else analysis.get("t_max")
-    if t_max is None:
-        t_max = 20.0 / rate
+    t_max = _positive("t_max", args.tmax if args.tmax is not None else analysis.get("t_max"))
     samples = args.samples if args.samples is not None else analysis.get("samples")
-    curve = norm_curve(source, _positive("t_max", t_max), _samples(samples), rate=rate)
-    if args.out:
-        curve.write_csv(args.out)
-    else:
-        curve.write_csv(sys.stdout)
+    curve = norm_curve(source, t_max, _samples(samples), rate=rate)
+    curve.write_csv(args.out or sys.stdout)
     return 0
 
 
@@ -148,8 +136,7 @@ def cmd_compare(args) -> int:
             return _fail(f"{path}: needs a pair or a schedule", EXIT_PARSE)
         schedules.append(source)
         labels.append(os.path.basename(path))
-    rows = compare_schedules(schedules, _positive("rate", args.rate), labels=labels,
-                             samples=_samples(args.samples))
+    rows = compare_schedules(schedules, _positive("rate", args.rate), labels)
     lines = ["id\tsharp_constant\tmax_drift_frobenius"]
     for row in rows:
         lines.append(f"{row.label}\t{row.sharp_constant:.17g}"
@@ -198,8 +185,7 @@ def _fig3(samples: int):
              {"case": label, "switch": switch, "rate": 1.0},
              norm_curve(schedule, _FIGURE_T_MAX, samples, rate=1.0))
             for label, schedule in benchmarks.case_schedules(switch).items()]
-    reference = sharp_constant(benchmarks.rotating_pair(benchmarks.REFERENCE_MU), 1.0,
-                               samples=samples)
+    reference = sharp_constant(benchmarks.rotating_pair(benchmarks.REFERENCE_MU), 1.0)
     rows.append(("fig3_envelope_fp1.csv", "envelope",
                  {"constant": reference, "rate": 1.0}, (reference, 1.0)))
     return rows, {"switch": switch}
@@ -209,7 +195,7 @@ def _fig4(samples: int):
     """Tangency-timed switching: the reference rotation against initial
     layers of mu = 11 (switched at its first tangency) and mu = 13.8."""
     fp5 = benchmarks.rotating_pair(11.0)
-    fp5_switch = tangency_time(fp5, 1.0, samples=samples)
+    fp5_switch = tangency_time(fp5, 1.0)
     cases = {
         "fp1": (Schedule.constant(benchmarks.rotating_pair(benchmarks.REFERENCE_MU)), None),
         "fp5": (benchmarks.split_schedule(fp5, fp5_switch), fp5_switch),
@@ -279,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="sample a decay curve with its envelope to CSV")
     p.add_argument("input", help="problem file with a pair or schedule")
     p.add_argument("--rate", type=float, default=None, help="envelope rate (default: spectral gap)")
-    p.add_argument("--tmax", type=float, default=None, help="sampling horizon")
+    p.add_argument("--tmax", type=float, default=None, help="sampling horizon (default: the scan's)")
     p.add_argument("--samples", type=int, default=None, help=f"grid size (default {DEFAULT_SAMPLES})")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_curve)
@@ -287,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="rank schedules by sharp envelope constant (TSV)")
     p.add_argument("inputs", nargs="+", help="problem files sharing one equilibrium")
     p.add_argument("--rate", type=float, required=True, help="common envelope rate")
-    p.add_argument("--samples", type=int, default=None)
     p.add_argument("--out", default=None, help="TSV path (default stdout)")
     p.set_defaults(func=cmd_compare)
 

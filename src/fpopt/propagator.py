@@ -272,7 +272,7 @@ def write_columns(target, header: str, *columns: np.ndarray) -> None:
             handle.write(payload)
 
 
-def norm_curve(source: Union[Schedule, CoefficientPair], t_max: float,
+def norm_curve(source: Union[Schedule, CoefficientPair], t_max: Optional[float] = None,
                samples: int = DEFAULT_SAMPLES, rate: Optional[float] = None) -> NormCurve:
     """Sample the propagator norm on ``[0, t_max]`` with its sharp envelope.
 
@@ -285,11 +285,11 @@ def norm_curve(source: Union[Schedule, CoefficientPair], t_max: float,
 
     Every grid point is evaluated once.  The curve reuses the envelope
     scan's values at every time the scan evaluated, its grid and its
-    refined peaks: when ``t_max`` is the scan horizon and ``samples`` at
-    least ``MIN_SCAN_SAMPLES`` (the default ``t_max = 20 / rate``), that is
-    the whole grid, the tangency point included.  The values come from the
-    flow weighted at the rate, so they keep their relative accuracy down to
-    the smallest normal double.
+    refined peaks: at the default ``t_max``, the scan's horizon
+    ``max(20 / rate, 4 * last switch)``, with ``samples`` at least
+    ``MIN_SCAN_SAMPLES``, that is the whole grid, the tangency point
+    included.  The values come from the flow weighted at the rate, so they
+    keep their relative accuracy down to the smallest normal double.
 
     Raises
     ------
@@ -298,15 +298,17 @@ def norm_curve(source: Union[Schedule, CoefficientPair], t_max: float,
         pair's boundary eigenvalue is defective.
     InvalidInterval
         If ``t_max`` is too long for the problem's time scale
-        (:func:`_check_horizon`).
+        (:func:`_check_horizon`), or the weighted propagator is not finite
+        up to it.
     """
     schedule = _as_schedule(source)
-    if not t_max > 0:
+    if t_max is not None and not t_max > 0:
         raise ValueError("t_max must be positive")
     if samples < 2:
         raise ValueError("need at least two samples")
     rate = float(spectral_gap(schedule.asymptotic_pair) if rate is None else rate)
-    scan = _scan_envelope(schedule, rate, t_max=None, samples=samples)
+    scan = _scan_envelope(schedule, rate, samples)
+    t_max = scan.horizon if t_max is None else t_max
     _check_horizon(schedule, rate, t_max, "t_max")
     grid = np.linspace(0.0, float(t_max), int(samples))
     extra = [s for s in schedule.switch_times if 0.0 < s < t_max]
@@ -319,10 +321,22 @@ def norm_curve(source: Union[Schedule, CoefficientPair], t_max: float,
     fresh = scan.times[at] != grid
     log_weighted = np.empty(len(grid))
     log_weighted[~fresh] = scan.log_norms[at[~fresh]]
-    log_weighted[fresh] = scan.flow.log_norms(grid[fresh])
+    log_weighted[fresh] = _finite_log_norms(scan.flow, grid[fresh], "t_max", t_max)
     values = np.exp(log_weighted - rate * grid)
     return NormCurve(times=grid, values=values, rate=rate,
                      sharp_constant=float(np.exp(scan.log_sup)))
+
+
+def _finite_log_norms(flow: _Flow, times: np.ndarray, name: str, horizon: float) -> np.ndarray:
+    """``flow.log_norms(times)``, refusing an overflow (scaling and squaring
+    on a nearly defective drift can overflow below the cap of
+    :func:`_check_horizon`) with :class:`InvalidInterval`, not a warning."""
+    with np.errstate(all="ignore"):
+        logs = flow.log_norms(times)
+    if not (logs < np.inf).all():   # nan or +inf; -inf is a norm underflowed to 0
+        raise InvalidInterval(f"{name} {horizon:.6g} is too long for this problem: "
+                              "the weighted propagator is not finite within it")
+    return logs
 
 
 def _check_horizon(schedule: Schedule, shift: float, horizon: float, name: str) -> None:
@@ -352,6 +366,7 @@ class _ScanResult(NamedTuple):
     times: np.ndarray   # every time evaluated: the grid and the refined peaks, sorted
     log_norms: np.ndarray   # log(exp(rate t) ||T(t, 0)||) at those times
     flow: _Flow         # the evaluator, weighted at the rate
+    horizon: float      # max(20 / rate, 4 * last switch); norm_curve's default t_max
 
 
 def _refine_peaks(flow: _Flow, grid: np.ndarray, values: np.ndarray, centres: np.ndarray):
@@ -410,8 +425,7 @@ def _refine_peaks(flow: _Flow, grid: np.ndarray, values: np.ndarray, centres: np
     return best_t, best_f
 
 
-def _scan_envelope(schedule: Schedule, rate: float, t_max: Optional[float],
-                   samples: int) -> _ScanResult:
+def _scan_envelope(schedule: Schedule, rate: float, samples: int = DEFAULT_SAMPLES) -> _ScanResult:
     if not 0.0 < rate < np.inf:
         raise ValueError("rate must be positive and finite")
     # A rate beyond the asymptotic decay of the schedule makes the weighted
@@ -425,19 +439,15 @@ def _scan_envelope(schedule: Schedule, rate: float, t_max: Optional[float],
             f"rate {rate:.6g} exceeds the asymptotic decay {gap:.6g} of the schedule")
     last_switch = schedule.switch_times[-1] if schedule.switch_times else 0.0
     horizon = max(20.0 / rate, 4.0 * last_switch)
-    if t_max is not None:
-        if t_max < 20.0 / rate:
-            raise ValueError("horizon too short to capture the envelope (need >= 20/rate)")
-        horizon = max(float(t_max), 4.0 * last_switch)
     _check_horizon(schedule, rate, horizon, "envelope horizon")
-    n = max(int(samples), MIN_SCAN_SAMPLES)
-    grid = np.linspace(0.0, horizon, n)
-    interior = [s for s in schedule.switch_times if s < horizon]
-    if interior:
-        grid = np.unique(np.concatenate((grid, np.asarray(interior))))
-    # weighted at the rate, the flow's log norms are log(exp(rate t) ||T||)
-    flow = _Flow(schedule, shift=rate)
-    logg = flow.log_norms(grid)
+    grid = np.linspace(0.0, horizon, max(int(samples), MIN_SCAN_SAMPLES))
+    if schedule.switch_times:   # all of them lie within the horizon
+        grid = np.unique(np.concatenate((grid, schedule.switch_times)))
+    # weighted at the rate, the flow's log norms are log(exp(rate t) ||T||);
+    # a prefix that overflows shows on the grid
+    with np.errstate(all="ignore"):
+        flow = _Flow(schedule, shift=rate)
+    logg = _finite_log_norms(flow, grid, "envelope horizon", horizon)
 
     # Genuine local maxima only: a rise below the noise floor of the log
     # values is sampling noise on a flat stretch, not a peak worth refining.
@@ -467,27 +477,25 @@ def _scan_envelope(schedule: Schedule, rate: float, t_max: Optional[float],
     order = np.argsort(evaluated, kind="stable")
     return _ScanResult(log_sup=log_sup, first_t=ts[vs >= log_sup - 1e-9].min(),
                        times=evaluated[order], log_norms=np.concatenate((logg, peak_v))[order],
-                       flow=flow)
+                       flow=flow, horizon=horizon)
 
 
-def sharp_constant(source: Union[Schedule, CoefficientPair], rate: float,
-                   t_max: Optional[float] = None,
-                   samples: int = DEFAULT_SAMPLES) -> float:
+def sharp_constant(source: Union[Schedule, CoefficientPair], rate: float) -> float:
     """Minimal ``c`` with ``||T(t, 0)|| <= c exp(-rate t)`` for all ``t >= 0``.
 
-    Computed as the supremum of ``exp(rate t) ||T(t, 0)||`` over a dense
-    grid on ``[0, horizon]`` (plus the schedule's switch times) with a
-    safeguarded root-find on the analytic slope around each competitive
-    local maximum.  The default horizon is ``max(20/rate, 4 * last
-    switch)``; an explicit ``t_max`` shorter than ``20/rate`` is rejected.
-    The weighted curve is evaluated as such, so the horizon may be any
-    multiple of ``1/rate`` up to the cap of :func:`_check_horizon`.
+    Computed as the supremum of ``exp(rate t) ||T(t, 0)||`` over
+    ``DEFAULT_SAMPLES`` points on ``[0, max(20/rate, 4 * last switch)]``
+    (plus the switch times) with a safeguarded root-find on the analytic
+    slope around each competitive local maximum, so it depends only on the
+    schedule and the rate.  The weighted curve is evaluated as such, so the
+    horizon may be any multiple of ``1/rate`` up to the cap of
+    :func:`_check_horizon`.
 
     The result is exact when the weighted curve is periodic after the last
     switch, as for the 2D rotating pairs and the schedules ending in one:
     the horizon then holds whole periods.  In higher dimension the weighted
     curve is quasi-periodic, its supremum can lie beyond any finite horizon,
-    and the result is a lower bound that a longer ``t_max`` may raise.
+    and the result is a lower bound.
 
     Raises
     ------
@@ -496,22 +504,21 @@ def sharp_constant(source: Union[Schedule, CoefficientPair], rate: float,
         spectral gap of its final pair), or the weighted curve keeps
         growing across the horizon; either way the supremum diverges.
     InvalidInterval
-        If the horizon is too long for the problem's time scale.
+        If the horizon is too long for the problem's time scale, or the
+        weighted propagator is not finite up to it.
     """
-    scan = _scan_envelope(_as_schedule(source), float(rate), t_max, samples)
+    scan = _scan_envelope(_as_schedule(source), float(rate))
     return float(np.exp(scan.log_sup))
 
 
-def tangency_time(source: Union[Schedule, CoefficientPair], rate: float,
-                  t_max: Optional[float] = None,
-                  samples: int = DEFAULT_SAMPLES) -> float:
+def tangency_time(source: Union[Schedule, CoefficientPair], rate: float) -> float:
     """Earliest ``t > 0`` where ``exp(rate t) ||T(t, 0)||`` attains its supremum.
 
-    This is the first tangency point between the decay curve and its sharp
-    envelope at the given rate; for the 2D rotating pairs the tangencies
-    recur with the half-period of the rotation.
+    The first tangency of the decay curve with its sharp envelope, found
+    by the scan of :func:`sharp_constant`; for the 2D rotating pairs the
+    tangencies recur with the half-period of the rotation.
     """
-    scan = _scan_envelope(_as_schedule(source), float(rate), t_max, samples)
+    scan = _scan_envelope(_as_schedule(source), float(rate))
     return float(scan.first_t)
 
 
@@ -571,22 +578,19 @@ class ScheduleRanking(NamedTuple):
 
 
 def compare_schedules(schedules: Sequence[Schedule], rate: float,
-                      labels: Optional[Sequence[str]] = None,
-                      samples: int = DEFAULT_SAMPLES) -> list[ScheduleRanking]:
+                      labels: Sequence[str]) -> list[ScheduleRanking]:
     """Rank schedules sharing one equilibrium by their sharp constant.
 
     All schedules decay at the same asymptotic rate once they agree for
     large times, so the multiplicative constant of the sharp envelope is the
     comparison that stays meaningful; pointwise-in-time comparison does not,
     since an initial-layer change has a nonlocal effect on the whole curve.
-    Rows also record ``||C||_F`` per piece and come back sorted ascending
-    (best first).
+    Rows, one per label, also record ``||C||_F`` per piece and come back
+    sorted ascending (best first).
     """
     schedules = list(schedules)
     if not schedules:
         raise ValueError("nothing to compare")
-    if labels is None:
-        labels = [f"schedule{i}" for i in range(len(schedules))]
     labels = [str(x) for x in labels]
     if len(labels) != len(schedules):
         raise ValueError("need one label per schedule")
@@ -597,7 +601,7 @@ def compare_schedules(schedules: Sequence[Schedule], rate: float,
     rows = [
         ScheduleRanking(
             label=label,
-            sharp_constant=sharp_constant(s, rate, samples=samples),
+            sharp_constant=sharp_constant(s, rate),
             drift_norms=tuple(float(np.linalg.norm(p.drift)) for p in s.pairs),
         )
         for label, s in zip(labels, schedules)

@@ -25,6 +25,13 @@ class ProblemFormatError(ValueError):
     """The input document does not follow the problem-file schema."""
 
 
+def number_from_obj(obj, name: str) -> float:
+    """``obj`` as a float if it is a JSON number: not a boolean, not a string."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise ProblemFormatError(f"{name} must be a number, got {obj!r}")
+    return float(obj)
+
+
 def matrix_from_obj(obj, name: str = "matrix") -> np.ndarray:
     """Decode a nested-array or {"diag": [...]} matrix."""
     if isinstance(obj, dict):
@@ -64,7 +71,7 @@ def pair_from_obj(obj, covariance: Covariance) -> CoefficientPair:
         directive = obj["construct"]
         if not isinstance(directive, dict) or "c" not in directive:
             raise ProblemFormatError("construct directive needs a budget 'c'")
-        cert = construct_optimal(covariance, float(directive["c"]),
+        cert = construct_optimal(covariance, number_from_obj(directive["c"], "c"),
                                  variant=directive.get("variant", "standard"))
         return cert.pair
     if "C" not in obj or "D" not in obj:
@@ -128,9 +135,9 @@ def problem_from_dict(doc: dict) -> Problem:
                 if duration is not None:
                     raise ProblemFormatError("the final segment is open-ended; omit its duration")
             else:
-                if duration is None or not float(duration) > 0.0:
+                if duration is None or not number_from_obj(duration, "duration") > 0.0:
                     raise ProblemFormatError("interior segments need a positive duration")
-                elapsed += float(duration)
+                elapsed += duration
                 switches.append(elapsed)
         schedule = Schedule(pairs, switches)
 
@@ -145,8 +152,11 @@ def problem_from_dict(doc: dict) -> Problem:
         analysis = dict(analysis)
         if "tMax" in analysis and "t_max" not in analysis:
             analysis["t_max"] = analysis.pop("tMax")
+        for key in ("rate", "t_max"):
+            if analysis.get(key) is not None:
+                analysis[key] = number_from_obj(analysis[key], key)
     return Problem(covariance=covariance,
-                   budget=None if budget is None else float(budget),
+                   budget=None if budget is None else number_from_obj(budget, "c"),
                    variant=variant,
                    pair=pair, schedule=schedule, analysis=analysis)
 

@@ -149,6 +149,16 @@ MALFORMED = {
     "construct_budget_string": {"pair": {"construct": {"c": "abc"}}},
     "construct_unknown_variant": {"pair": {"construct": {"c": 2, "variant": "sideways"}}},
     "unknown_variant": {"variant": "sideways"},
+    # a boolean or a numeric string is not a number
+    "budget_numeric_string": {"c": "2"},
+    "budget_boolean": {"c": True},
+    "construct_budget_numeric_string": {"pair": {"construct": {"c": "1.5"}}},
+    "duration_boolean": {"schedule": [{"construct": {"c": 1.5}, "duration": True},
+                                      {"construct": {"c": 2.0}}]},
+    "duration_numeric_string": {"schedule": [{"construct": {"c": 1.5}, "duration": "0.1"},
+                                             {"construct": {"c": 2.0}}]},
+    "analysis_rate_numeric_string": {"analysis": {"rate": "1"}},
+    "analysis_t_max_numeric_string": {"analysis": {"t_max": "8"}},
 }
 
 
@@ -341,6 +351,26 @@ def test_curve_horizon_beyond_the_time_scale_exit_2(tmp_path, capsys, flags, doc
     assert message in err
 
 
+def test_near_defective_segment_overflow_exit_2(tmp_path):
+    # scaling and squaring on mu = 1 + 1e-9 overflows long before the cap of
+    # about 2.25e15: refused naming the horizon, with no warning on the way
+    import fpopt
+
+    doc = anisotropic_doc({"schedule": [{"pair": rotating_matrices(1.0 + 1e-9), "duration": 1e11},
+                                        {"pair": rotating_matrices(7.0)}]})
+    path = write_json(tmp_path / "p.json", doc)
+    src = os.path.dirname(os.path.dirname(fpopt.__file__))
+    for argv in (["curve", path, "--samples", "50", "--tmax", "10"],
+                 ["compare", path, "--rate", "1"]):
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "fpopt",
+                               *argv], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert done.returncode == 2, argv
+        assert not done.stdout
+        assert done.stderr.startswith("fpopt: envelope horizon 4e+11 ")
+        assert done.stderr.count("\n") == 1
+
+
 def test_curve_bad_grid_size_exit_2(tmp_path, capsys):
     path = write_json(tmp_path / "p.json", anisotropic_doc({"pair": rotating_matrices(7.0)}))
     for value in ("1", "0", "-3"):
@@ -403,13 +433,12 @@ def test_compare_nonpositive_rate_exit_2(tmp_path, capsys):
         assert "rate" in err
 
 
-def test_compare_bad_grid_size_exit_2(tmp_path, capsys):
+def test_compare_has_no_grid_size_exit_2(tmp_path):
+    # the sharp constant depends on the schedule and the rate alone
     path = write_json(tmp_path / "a.json", anisotropic_doc({"pair": rotating_matrices(7.0)}))
-    for value in ("1", "0"):
-        code, out, err = run(capsys, "compare", path, "--rate", "1", "--samples", value)
-        assert code == 2
-        assert not out
-        assert "samples" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["compare", path, "--rate", "1", "--samples", "64"])
+    assert excinfo.value.code == 2
 
 
 def test_compare_mixed_equilibria_exit_6(tmp_path, capsys):

@@ -355,17 +355,15 @@ def test_peak_refinement_matches_golden_section_and_mpmath(case):
 
 # ---------------------------------------------------------------- norm curve
 
-def test_norm_curve_evaluates_each_grid_point_once(monkeypatch):
-    # the default curve at a rate shares the envelope scan's grid: the scan
-    # evaluates it and the refinement a few off-grid points per peak, the
-    # first tangency among them, and the curve evaluates nothing more
-    rng = np.random.default_rng(48)
-    cert = construct_optimal(random_covariance(rng, 6), 2.0)
-    evaluated = []
+def count_evaluations(monkeypatch):
+    """Record every time the flow evaluates: one list per segment's
+    factored exponential, of arrays of times since the segment's start."""
+    stacks = []
     factor = kernel.expm_stack
 
     def counting_stack(a):
-        stack = factor(a)
+        stack, evaluated = factor(a), []
+        stacks.append(evaluated)
 
         def counted(t):
             evaluated.append(np.array(t, dtype=float))
@@ -373,11 +371,50 @@ def test_norm_curve_evaluates_each_grid_point_once(monkeypatch):
         return counted
 
     monkeypatch.setattr(kernel, "expm_stack", counting_stack)
+    return stacks
+
+
+def assert_each_grid_point_once(stacks, curve, starts=(0.0,)):
+    """The scan evaluates the grid and the refinement a few off-grid points
+    per peak, the first tangency among them; the curve evaluates no more.
+    Returns the number of times evaluated."""
+    ends = starts[1:] + (np.inf,)
+    for start, end, evaluated in zip(starts, ends, stacks, strict=True):
+        times, counts = np.unique(np.concatenate(evaluated), return_counts=True)
+        assert np.all(counts == 1)
+        on_segment = curve.times[(start <= curve.times) & (curve.times < end)]
+        assert np.all(np.isin(on_segment - start, times))
+    return sum(len(t) for evaluated in stacks for t in evaluated)
+
+
+def test_norm_curve_evaluates_each_grid_point_once(monkeypatch):
+    # the default curve at a rate shares the envelope scan's grid
+    rng = np.random.default_rng(48)
+    cert = construct_optimal(random_covariance(rng, 6), 2.0)
+    stacks = count_evaluations(monkeypatch)
     curve = norm_curve(cert.pair, 20.0 / cert.rate, rate=cert.rate)
-    times, counts = np.unique(np.concatenate(evaluated), return_counts=True)
-    assert np.all(counts == 1)
-    assert np.all(np.isin(curve.times, times))
-    assert len(times) - len(curve.times) < 0.02 * len(curve.times)   # the peak refinement's
+    total = assert_each_grid_point_once(stacks, curve)
+    assert total - len(curve.times) < 0.02 * len(curve.times)   # the peak refinement's
+
+
+def test_norm_curve_default_horizon_is_the_scans():
+    # with no switch the scan's horizon is 20 / rate
+    pair = construct_optimal(Covariance(np.array([20.0, 1.0])), 1.5).pair
+    default, explicit = norm_curve(pair), norm_curve(pair, 20.0 / spectral_gap(pair))
+    assert default.sharp_constant == explicit.sharp_constant
+    assert np.array_equal(default.times, explicit.times)
+    assert np.array_equal(default.values, explicit.values)
+
+
+def test_norm_curve_default_horizon_follows_a_late_switch(monkeypatch):
+    # a last switch at 30 / rate puts the scan's horizon, and the default
+    # curve's, at 120 / rate; every grid point is still evaluated once
+    pair = construct_optimal(Covariance(np.array([20.0, 1.0])), 1.5).pair
+    switch = 30.0 / spectral_gap(pair)
+    stacks = count_evaluations(monkeypatch)
+    curve = norm_curve(Schedule([pair, pair], [switch]))
+    assert curve.times[-1] == 4.0 * switch
+    assert_each_grid_point_once(stacks, curve, starts=(0.0, switch))
 
 
 def test_norm_curve_default_rate_is_the_spectral_gap():
@@ -417,7 +454,7 @@ def test_horizons_are_capped_by_the_problem_time_scale():
     with pytest.raises(InvalidInterval, match="t_max"):
         norm_curve(pair, 1.001 * cap, 50)
     with pytest.raises(InvalidInterval, match="envelope horizon"):
-        sharp_constant(pair, 1.0, t_max=1.001 * cap)
+        sharp_constant(Schedule([pair, pair], [cap / 3.0]), 1.0)
     with pytest.raises(InvalidInterval, match="envelope horizon"):
         norm_curve(Schedule([pair, pair], [cap / 3.0]), 8.0, 50)
     # a drift equal to rate * I has no time scale and no cap
@@ -535,8 +572,10 @@ def test_weighted_curve_touches_high_rotation_limit():
 
 @pytest.mark.parametrize("t_max", [370.0, 500.0, 5000.0])
 def test_sharp_constant_holds_at_long_horizons(t_max):
-    # the weighted flow keeps exp(t) ||T(t)|| of order one at any horizon
-    assert sharp_constant(rotating_pair(7.0), 1.0, t_max=t_max) \
+    # the weighted flow keeps exp(t) ||T(t)|| of order one at any horizon;
+    # a switch between identical pieces at t_max / 4 puts the scan's there
+    pair = rotating_pair(7.0)
+    assert sharp_constant(Schedule([pair, pair], [t_max / 4.0]), 1.0) \
         == pytest.approx(np.sqrt(4.0 / 3.0), rel=1e-12)
 
 
@@ -553,11 +592,6 @@ def test_sharp_constant_rate_check_is_scale_free(s):
     with pytest.raises(RateTooLarge):
         sharp_constant(pair, 1.001 * gap)
     assert sharp_constant(pair, gap) == pytest.approx(np.sqrt(4.0 / 3.0), rel=1e-9)
-
-
-def test_sharp_constant_rejects_short_horizon():
-    with pytest.raises(ValueError):
-        sharp_constant(rotating_pair(7.0), 1.0, t_max=5.0)
 
 
 # ---------------------------------------------------------- 2D closed form
@@ -708,7 +742,7 @@ def test_compare_schedules_single_entry():
 def test_compare_schedules_rejects_mixed_equilibria():
     with pytest.raises(MixedEquilibria):
         compare_schedules([Schedule.constant(rotating_pair(7.0)),
-                           Schedule.constant(symmetric_pair(eps=0.1))], 1.0)
+                           Schedule.constant(symmetric_pair(eps=0.1))], 1.0, ["a", "b"])
 
 
 def test_spectral_gap_of_rotating_pairs():
