@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -32,35 +33,48 @@ def number_from_obj(obj, name: str) -> float:
     return float(obj)
 
 
+def _numbers(obj, name: str) -> np.ndarray:
+    """``obj`` as a float array if it is a list of JSON numbers or a list of
+    such lists: the rule of :func:`number_from_obj`, entry by entry."""
+    if not isinstance(obj, list):
+        raise ProblemFormatError(f"{name}: expected an array of numbers")
+    try:
+        entries = chain.from_iterable(obj) if obj and isinstance(obj[0], list) else obj
+        if set(map(type, entries)) <= {int, float}:
+            return np.asarray(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):   # a row not a list, ragged rows, a huge int
+        pass
+    raise ProblemFormatError(f"{name}: expected a rectangular array of numbers "
+                             "(no strings, no booleans)")
+
+
+def _matrix(arr: np.ndarray, name: str) -> np.ndarray:
+    if arr.ndim != 2:
+        raise ProblemFormatError(f"{name}: expected a 2-D array, got shape {arr.shape}")
+    return arr
+
+
 def matrix_from_obj(obj, name: str = "matrix") -> np.ndarray:
     """Decode a nested-array or {"diag": [...]} matrix."""
     if isinstance(obj, dict):
         if set(obj) != {"diag"}:
             raise ProblemFormatError(f"{name}: expected nested arrays or a 'diag' shorthand")
-        return np.diag(np.asarray(obj["diag"], dtype=float))
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"{name}: not a numeric array") from exc
-    if arr.ndim != 2:
-        raise ProblemFormatError(f"{name}: expected a 2-D array, got shape {arr.shape}")
-    return arr
+        return np.diag(_numbers(obj["diag"], name))
+    return _matrix(_numbers(obj, name), name)
 
 
 def covariance_from_obj(obj) -> Covariance:
     """Decode a covariance: full matrix, diagonal vector, or eigen form."""
     if isinstance(obj, dict):
         if set(obj) == {"diag"}:
-            return Covariance(np.asarray(obj["diag"], dtype=float))
+            return Covariance(_numbers(obj["diag"], "covariance"))
         if set(obj) == {"eigenvalues", "eigenvectors"}:
             return Covariance.from_eigen(
-                np.asarray(obj["eigenvalues"], dtype=float),
+                _numbers(obj["eigenvalues"], "eigenvalues"),
                 matrix_from_obj(obj["eigenvectors"], "eigenvectors"))
         raise ProblemFormatError("covariance: expected a matrix, 'diag', or eigen form")
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim == 1:
-        return Covariance(arr)
-    return Covariance(matrix_from_obj(obj, "covariance"))
+    arr = _numbers(obj, "covariance")
+    return Covariance(arr if arr.ndim == 1 else _matrix(arr, "covariance"))
 
 
 def pair_from_obj(obj, covariance: Covariance) -> CoefficientPair:
@@ -164,7 +178,8 @@ def problem_from_dict(doc: dict) -> Problem:
 def load_problem(path) -> Problem:
     """Read and decode a problem file.  Any malformed field, whether caught
     by the schema checks or by numpy and the model constructors (a string
-    where a number belongs, a ragged matrix), is a :class:`ProblemFormatError`."""
+    where a number belongs, a ragged matrix, an integer beyond the float
+    range), is a :class:`ProblemFormatError`."""
     with open(path) as handle:
         try:
             doc = json.load(handle)
@@ -174,7 +189,7 @@ def load_problem(path) -> Problem:
         return problem_from_dict(doc)
     except ProblemFormatError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"{path}: {exc}") from exc
 
 

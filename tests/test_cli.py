@@ -159,6 +159,25 @@ MALFORMED = {
                                              {"construct": {"c": 2.0}}]},
     "analysis_rate_numeric_string": {"analysis": {"rate": "1"}},
     "analysis_t_max_numeric_string": {"analysis": {"t_max": "8"}},
+    # the same rule for every matrix entry
+    "diag_numeric_string_and_boolean": {"K": {"diag": ["20", True]}},
+    "K_boolean_entry": {"K": [[1.0, 0.0], [0.0, True]]},
+    "K_numeric_string_entry": {"K": [[1.0, "0"], [0.0, 2.0]]},
+    "K_vector_string_entry": {"K": ["1", 2.0]},
+    "K_row_not_a_list": {"K": [[1.0, 0.0], 2.0]},
+    "K_integer_beyond_float": {"K": {"diag": [10**400, 1]}},
+    "budget_integer_beyond_float": {"c": 10**400},
+    "eigenvalues_boolean": {"K": {"eigenvalues": [1.0, True],
+                                  "eigenvectors": [[1.0, 0.0], [0.0, 1.0]]}},
+    "eigenvectors_string": {"K": {"eigenvalues": [1.0, 2.0],
+                                  "eigenvectors": [[1.0, 0.0], ["0", 1.0]]}},
+    "pair_D_boolean_entry": {"pair": {"C": [[1.0, 0.0], [0.0, 0.5]],
+                                      "D": [[1.0, 0.0], [0.0, True]]}},
+    "pair_C_diag_numeric_string": {"pair": {"C": {"diag": ["1", 0.5]},
+                                            "D": {"diag": [1.0, 1.0]}}},
+    "schedule_D_boolean_entry": {"schedule": [
+        {"C": [[1.0, 0.0], [0.0, 0.5]], "D": [[1.0, 0.0], [0.0, False]], "duration": 1.0},
+        {"construct": {"c": 2.0}}]},
 }
 
 
@@ -431,6 +450,20 @@ def test_compare_nonpositive_rate_exit_2(tmp_path, capsys):
         assert code == 2
         assert not out
         assert "rate" in err
+
+
+def test_compare_at_a_slow_rate_warns_nothing(tmp_path):
+    import fpopt
+
+    path = write_json(tmp_path / "a.json", anisotropic_doc({"pair": rotating_matrices(7.0)}))
+    src = os.path.dirname(os.path.dirname(fpopt.__file__))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "fpopt",
+                           "compare", path, "--rate", "0.01"],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert not done.stderr
+    row = done.stdout.strip().split("\n")[1].split("\t")
+    assert row[0] == "a.json" and float(row[1]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_compare_has_no_grid_size_exit_2(tmp_path):

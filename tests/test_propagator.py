@@ -1,3 +1,4 @@
+import importlib
 import io
 
 import numpy as np
@@ -29,6 +30,7 @@ from fpopt import kernel
 from fpopt.benchmarks import case_pairs, rotating_pair, split_schedule, symmetric_pair
 from fpopt.propagator import (
     _CHUNK_ELEMENTS,
+    _FORMAT_CHUNK,
     _Flow,
     _as_schedule,
     _log_top_singular,
@@ -524,6 +526,78 @@ def test_norm_curve_csv_format():
     assert buffer.getvalue() == "\n".join(["t,value", *rows]) + "\n"
 
 
+def _percent_17g_rows(header, *columns):
+    """The reference: one ``%.17g`` per value, as Python formats it."""
+    rows = [",".join(f"{float(v):.17g}" for v in row) for row in zip(*columns)]
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _written(*columns):
+    buffer = io.StringIO()
+    write_columns(buffer, "h", *columns)
+    return buffer.getvalue()
+
+
+def test_write_columns_matches_percent_17g_on_any_double():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    doubles = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                        st.floats(1e-6, 1e18), st.integers(0, 2**60).map(float))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(1, 4), st.lists(doubles, max_size=40))
+    def check(ncols, values):
+        table = np.array(values[:len(values) - len(values) % ncols]).reshape(-1, ncols)
+        assert _written(*table.T) == _percent_17g_rows("h", *table.T)
+
+    check()
+
+
+def test_write_columns_edge_table(monkeypatch):
+    module = importlib.import_module("fpopt.propagator")
+    edge = []
+    for k in range(-323, 309):   # powers of ten and their neighbours, subnormals included
+        p = float(f"1e{k}")
+        edge += [p, float(np.nextafter(p, np.inf)), float(np.nextafter(p, -np.inf))]
+    carries = [9.99999999999999995e-5, 9.9999999999999999e16, 0.99999999999999999,
+               99999999999999999.0, 9.9999999999999998e-249]
+    # exact ties at the 17th digit, rounded half to even
+    ties = [2000000000000000.25, 2000000000000000.75, 100000000000000.125, 100000000000000.375]
+    integers = [float(v) for v in range(10**16 - 40, 10**16 + 40, 2)]
+    integers += [float(10**17 + 16 * k) for k in range(-8, 8)]
+    extremes = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                np.inf, -np.inf, np.nan, 0.5, 1e-5, 1.2e-5, 0.0001, 99999.5]
+    values = np.array(edge + carries + ties + integers + extremes)
+    values = np.concatenate((values, -values))
+    assert _written(values) == _percent_17g_rows("h", values)
+    assert [f"{v:.17g}" for v in ties] == ["2000000000000000.2", "2000000000000000.8",
+                                           "100000000000000.12", "100000000000000.38"]
+
+    # the ties and the values beyond the tables, and only those, take the
+    # per-value % path
+    module._decimal_tables()
+    fallback = []
+    words = module._words
+    monkeypatch.setattr(module, "_words", lambda strings, width: (
+        fallback.extend(strings), words(strings, width))[1])
+    mild = np.array([1.0, 0.1, 1e16, 1e17 - 16, 9.99999999999999995e-5, 123.456, 1e-250, 1e249])
+    assert _written(mild, -mild) == _percent_17g_rows("h", mild, -mild)
+    assert fallback == []
+    odd = np.array([2000000000000000.75, 5e-324, 1e-300, 1e300])
+    assert _written(odd) == _percent_17g_rows("h", odd)
+    assert fallback == [f"{v:.17g}" for v in odd]
+
+
+def test_write_columns_splits_rows_across_chunks():
+    rows = 3 * _FORMAT_CHUNK + 7
+    index = np.arange(rows, dtype=float)
+    columns = (index, np.sqrt(index) * 1e-7, -index * 1e13)
+    text = _written(*columns)
+    assert text == _percent_17g_rows("h", *columns)
+    assert text.count("\n") == rows + 1
+
+
 # ------------------------------------------------------------ sharp constant
 
 def test_sharp_constant_of_optimal_pairs_equals_budget():
@@ -582,6 +656,13 @@ def test_sharp_constant_holds_at_long_horizons(t_max):
 def test_sharp_constant_rejects_unsustainable_rate():
     with pytest.raises(RateTooLarge):
         sharp_constant(rotating_pair(7.0), 3.0)
+
+
+def test_sharp_constant_at_a_slow_rate_survives_underflow():
+    # at rate 0.01 the weighted curve of the mu = 7 rotation falls like
+    # exp(-0.99 t) over the 2000-long horizon and underflows to a log of
+    # -inf; the peak test compares those values without a warning
+    assert sharp_constant(rotating_pair(7.0), 0.01) == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("s", [1.0, 1e-10])
