@@ -16,6 +16,7 @@ figure's rows, and :func:`cmd_reproduce` alone knows the output layout.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -33,7 +34,6 @@ from .propagator import (
     norm_curve,
     sharp_constant,
     tangency_time,
-    write_columns,
 )
 from .serialize import (
     ProblemFormatError,
@@ -41,6 +41,7 @@ from .serialize import (
     dump_json,
     load_problem,
 )
+from .text import write_columns
 
 EXIT_PARSE = 2
 EXIT_CONSTANT = 3
@@ -242,7 +243,11 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after:
+    parsing leaves it unchanged, and in-process callers of :func:`main`
+    then pay for it once."""
     parser = argparse.ArgumentParser(
         prog="fpopt",
         description="Fastest-decaying drift-diffusion pairs for a prescribed "

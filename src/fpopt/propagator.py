@@ -15,7 +15,6 @@ initial decay.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -29,6 +28,7 @@ from .errors import (
     NotApplicable2D,
     RateTooLarge,
 )
+from .text import write_columns
 
 #: Default number of uniform samples for curve grids and envelope scans.
 DEFAULT_SAMPLES = 4096
@@ -52,12 +52,6 @@ _REFINE_RTOL = 8.0 * np.finfo(float).eps
 #: Matrix entries per stacked evaluation, which bounds the working memory of
 #: a curve at large d (2**16 doubles, 512 KiB, per stack of propagators).
 _CHUNK_ELEMENTS = 2**16
-
-#: Values per call of the CSV formatter.  Its temporaries, some 250 bytes a
-#: value, then stay within about half a MiB, which the allocator reuses from
-#: call to call: at 2**16 values each file paid some 700 page faults.
-_FORMAT_CHUNK = 2**11
-
 
 class Schedule:
     """Piecewise-constant-in-time coefficient pairs sharing one equilibrium.
@@ -262,202 +256,6 @@ class NormCurve:
     def write_csv(self, target) -> None:
         """Write ``t,norm,envelope`` rows as :func:`write_columns` does."""
         write_columns(target, "t,norm,envelope", self.times, self.values, self.envelope)
-
-
-def write_columns(target, header: str, *columns: np.ndarray) -> None:
-    """Write ``header`` and one row per index of the equal-length
-    ``columns``, to a path or an open text stream.
-
-    Each value is written exactly as ``'%.17g' % float(value)`` writes it,
-    byte for byte: 17 significant digits, trailing zeros after the point
-    stripped, the exponent form when the decimal exponent is below -4 or
-    above 16, and ``0``, ``-0``, ``inf``, ``-inf`` and ``nan`` spelled as
-    Python spells them.  Values are separated by commas, rows end in
-    ``\\n``.  The text comes from :func:`_format_17g`, in chunks of whole
-    rows of about ``_FORMAT_CHUNK`` values.
-    """
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    step = max(1, _FORMAT_CHUNK // table.shape[1])
-    chunks = (_format_17g(table[k:k + step].ravel(), table.shape[1])
-              for k in range(0, len(table), step))
-    if hasattr(target, "write"):
-        target.write(header + "\n")
-        for chunk in chunks:
-            target.write(chunk.decode("ascii"))
-    else:
-        with open(target, "wb") as handle:
-            handle.write(header.encode() + b"\n")
-            for chunk in chunks:
-                handle.write(chunk)
-
-
-#: Decimal exponents ``X`` (of ``|x| = d.ddd 10**X``) that the 17-digit
-#: formatter tabulates; values from 1e-250 to 1e250 fall well inside.
-_EXPONENT_RANGE = 252
-
-
-def _words(strings, width: int) -> np.ndarray:
-    """NUL-padded byte strings as rows of ``width`` little-endian uint64s."""
-    return np.array(strings, dtype=f"S{8 * width}").view("<u8").reshape(-1, width)
-
-
-class _DecimalTables(NamedTuple):
-    # by decimal exponent X, at index X + _EXPONENT_RANGE (prefix: plus
-    # len(suffix) for a negative sign)
-    scale: np.ndarray       # 10**(16 - X), rounded
-    scale_top: np.ndarray   # its top 26 bits, for Dekker's exact product
-    scale_low: np.ndarray   # scale - scale_top
-    scale_rest: np.ndarray  # 10**(16 - X) - scale, rounded
-    prefix: np.ndarray      # the sign, and '0.000' for -4 <= X < 0
-    suffix: np.ndarray      # the exponent, empty for -4 <= X <= 16
-    integer: np.ndarray     # the last integer digit, never stripped (-1: none)
-    point: np.ndarray       # the digit the point follows (17: no point)
-    # by four-digit group
-    quads: np.ndarray       # its ASCII
-    zeros: np.ndarray       # its trailing zeros (4 for 0000)
-    # by digit j, one row per digit word; column 17 is all digits, no point
-    upto: np.ndarray        # masks the bytes up to digit j
-    dot: np.ndarray         # '.' in the byte after digit j
-    special: np.ndarray     # 0, -0, inf, -inf and nan
-
-
-@functools.lru_cache(maxsize=None)
-def _decimal_tables() -> _DecimalTables:
-    """Lookup tables of :func:`_format_17g`, built on first use.
-
-    The scale ``10**(16 - X)`` is held as a double-double ``scale +
-    scale_rest`` whose parts come from Python integers: ``float`` of an
-    integer and the true division of two integers both round correctly.
-    """
-    exponents = range(-_EXPONENT_RANGE, _EXPONENT_RANGE + 1)
-    scale, rest = np.empty(len(exponents)), np.empty(len(exponents))
-    for i, x in enumerate(exponents):
-        if x <= 16:
-            scale[i] = float(10**(16 - x))
-            rest[i] = float(10**(16 - x) - int(scale[i]))
-        else:
-            scale[i] = 1 / 10**(x - 16)
-            num, den = scale[i].as_integer_ratio()
-            rest[i] = (den - num * 10**(x - 16)) / (den * 10**(x - 16))
-    split = 134217729.0 * scale
-    top = split - (split - scale)
-    fixed = [-4 <= x <= 16 for x in exponents]
-    prefix = [sign + (b"0." + b"0" * (-x - 1) if x < 0 and f else b"")
-              for sign in (b"", b"-") for x, f in zip(exponents, fixed)]
-    suffix = [b"" if f else b"e%+03d" % x for x, f in zip(exponents, fixed)]
-    integer = [x if f and x >= 0 else -1 for x, f in zip(exponents, fixed)]
-    point = [(x if 0 <= x < 16 else 17) if f else 0 for x, f in zip(exponents, fixed)]
-    groups = [b"%04d" % g for g in range(10**4)]
-    # digit j of the 17 sits at byte 6 + j of the three digit words
-    upto = _words([b"\xff" * (7 + j) for j in range(17)] + [b"\xff" * 24], 3)
-    dot = _words([b"\0" * (7 + j) + b"." for j in range(17)] + [b""], 3)
-    return _DecimalTables(
-        scale=scale, scale_top=top, scale_low=scale - top, scale_rest=rest,
-        prefix=_words(prefix, 1)[:, 0], suffix=_words(suffix, 1)[:, 0],
-        integer=np.array(integer), point=np.array(point),
-        quads=np.array(groups).view("<u4").astype(np.uint64),
-        zeros=np.array([len(g) - len(g.rstrip(b"0")) for g in groups]),
-        upto=np.ascontiguousarray(upto.T), dot=np.ascontiguousarray(dot.T),
-        special=_words([b"0", b"-0", b"inf", b"-inf", b"nan"], 1)[:, 0])
-
-
-def _scaled_floor(a: np.ndarray, at: np.ndarray):
-    """Floor and fractional part of ``a * 10**(16 - X)``, ``X`` at index
-    ``at`` of the tables, to about 1e-14.
-
-    The product with the double-double ``10**(16 - X)`` is exact in its
-    leading term (Dekker's two-product) and leaves a relative error near
-    2**-105 from the trailing one, so the fraction decides the rounding to
-    an integer correctly unless it is within 1e-6 of one half.
-    """
-    tables = _decimal_tables()
-    b, b_top, b_low = tables.scale[at], tables.scale_top[at], tables.scale_low[at]
-    p = a * b
-    split = a * 134217729.0
-    a_top = split - (split - a)
-    a_low = a - a_top
-    rest = ((a_top * b_top - p) + a_top * b_low + a_low * b_top) + a_low * b_low
-    rest += a * tables.scale_rest[at]
-    whole = np.floor(p)
-    rest += p - whole
-    step = np.floor(rest)
-    return whole.astype(np.int64) + step.astype(np.int64), rest - step
-
-
-def _format_17g(values: np.ndarray, ncols: int) -> bytes:
-    """``'%.17g'`` of each of ``values``, ``ncols`` to a comma-separated line.
-
-    The 17 digits are ``N = round(|x| 10**(16 - X))``, with the decimal
-    exponent ``X`` from ``log10`` and moved by one where the exact product
-    lies outside ``[1e16, 1e17)`` or rounds up to ``1e17``.  Each value
-    gets a slot of four little-endian words: the sign or ``0.000`` prefix
-    in bytes 0-5, the digits from byte 6 with the trailing zeros of the
-    fraction blanked and a point shifted in after the integer digits, and
-    in the last word the exponent and the separator.  Removing the NUL
-    bytes leaves the text.  Zeros, infinities and nan come from a table;
-    the values within 1e-6 of a rounding tie, or outside the tables' range,
-    from one ``%`` call over just those values.
-    """
-    tables = _decimal_tables()
-    a = np.abs(values)
-    fast = (a >= 1e-250) & (a < 1e250)
-    a[~fast] = 1.0
-    at = np.floor(np.log10(a)).astype(np.int64) + _EXPONENT_RANGE   # X + range
-    floor, frac = _scaled_floor(a, at)
-    n = floor + (frac > 0.5)
-    off = np.flatnonzero((floor < 10**16) | (n >= 10**17))
-    if off.size:
-        at[off] += np.where(floor[off] < 10**16, -1, 1)
-        floor[off], frac[off] = _scaled_floor(a[off], at[off])
-        n[off] = floor[off] + (frac[off] > 0.5)
-    fast &= (np.abs(frac - 0.5) >= 1e-6) & (floor >= 10**16) & (n < 10**17)
-
-    lead, n = np.divmod(n, 10**16)
-    high, low = np.divmod(n, 10**8)
-    q1, q2 = np.divmod(high, 10**4)
-    q3, q4 = np.divmod(low, 10**4)
-    last = 16 - tables.zeros[q4]   # the last nonzero digit
-    for q, blank in ((q3, 12), (q2, 8), (q1, 4)):
-        last -= tables.zeros[q] * (last == blank)
-    keep = np.maximum(last, tables.integer[at])
-    point = tables.point[at]
-    point = np.where(keep > point, point, 17)
-    g1, g3 = tables.quads[q1], tables.quads[q3]
-    w0 = tables.prefix[np.signbit(values) * len(tables.suffix) + at]
-    w0 |= (lead.astype(np.uint64) + ord("0")) << 48 | g1 << 56
-    w1 = g1 >> 8 | tables.quads[q2] << 24 | g3 << 56
-    w2 = g3 >> 8 | tables.quads[q4] << 24
-    w0 &= tables.upto[0][keep]
-    w1 &= tables.upto[1][keep]
-    w2 &= tables.upto[2][keep]
-    # the digits up to the point stay, the rest move up one byte
-    low0 = w0 & tables.upto[0][point]
-    low1 = w1 & tables.upto[1][point]
-    low2 = w2 & tables.upto[2][point]
-    w0 ^= low0
-    w1 ^= low1
-    w2 ^= low2
-    out = np.empty((len(values), 4), "<u8")
-    out[:, 0] = low0 | w0 << 8 | tables.dot[0][point]
-    out[:, 1] = low1 | w1 << 8 | w0 >> 56 | tables.dot[1][point]
-    out[:, 2] = low2 | w2 << 8 | w1 >> 56 | tables.dot[2][point]
-    out[:, 3] = tables.suffix[at]
-
-    if not fast.all():
-        slow = np.flatnonzero(~fast)
-        v = values[slow]
-        out[slow] = 0
-        special = ~np.isfinite(v) | (v == 0)
-        kind = np.where(np.isnan(v), 4, np.where(v == 0, 0, 2) + np.signbit(v))
-        out[slow[special], 0] = tables.special[kind[special]]
-        rest = slow[~special]
-        if rest.size:
-            text = ("%.17g " * rest.size) % tuple(values[rest].tolist())
-            out[rest, :3] = _words(text.split(), 3)
-    separators = np.array([ord(",") << 56] * (ncols - 1) + [ord("\n") << 56], np.uint64)
-    out.reshape(-1, ncols, 4)[:, :, 3] |= separators
-    flat = out.view(np.uint8).reshape(-1)
-    return flat[flat != 0].tobytes()
 
 
 def norm_curve(source: Union[Schedule, CoefficientPair], t_max: Optional[float] = None,

@@ -20,6 +20,7 @@ import numpy as np
 from .construction import VARIANTS, OptimalCertificate, construct_optimal
 from .equilibrium import CoefficientPair, Covariance
 from .propagator import Schedule
+from .text import json_arrays
 
 
 class ProblemFormatError(ValueError):
@@ -193,35 +194,56 @@ def load_problem(path) -> Problem:
         raise ProblemFormatError(f"{path}: {exc}") from exc
 
 
-def _listify(a: np.ndarray):
-    return np.asarray(a, dtype=float).tolist()
-
-
 def certificate_to_dict(cert: OptimalCertificate) -> dict:
-    """Serialise a certificate; feeding the result back validates cleanly."""
-    doc = {
+    """Serialise a certificate for :func:`dump_json`, its matrices and
+    vectors as float arrays; the document written from it validates
+    cleanly."""
+    return {
         "kind": "certificate",
         "dim": cert.dim,
-        "K": _listify(cert.covariance.matrix),
-        "C": _listify(cert.pair.drift),
-        "D": _listify(cert.pair.diffusion),
-        "J": _listify(cert.pair.skew),
-        "Q": _listify(cert.Q),
-        "P": _listify(cert.P),
-        "basis": _listify(cert.basis),
-        "direction": _listify(cert.direction),
-        "weights": None if cert.weights is None else _listify(cert.weights),
+        "K": cert.covariance.matrix,
+        "C": cert.pair.drift,
+        "D": cert.pair.diffusion,
+        "J": cert.pair.skew,
+        "Q": cert.Q,
+        "P": cert.P,
+        "basis": cert.basis,
+        "direction": cert.direction,
+        "weights": cert.weights,
         "c": float(cert.budget),
         "constant": float(cert.constant),
         "lambda_opt": float(cert.rate),
         "variant": cert.variant,
     }
-    return doc
+
+
+def _pieces(obj) -> list:
+    """The JSON text of ``obj`` as strings and, between them, the float
+    arrays of one or two dimensions held in its (nested) string-keyed
+    objects.  Everything else is ``json.dumps`` text."""
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2):
+        return [obj]
+    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        pieces = ["{"]
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            pieces += [("," if i else "") + json.dumps(key) + ":", *_pieces(value)]
+        return pieces + ["}"]
+    return [json.dumps(obj, separators=(",", ":"), sort_keys=True)]
 
 
 def dump_json(doc: dict, target) -> None:
-    """Deterministic JSON output: compact, sorted keys, one final newline."""
-    payload = json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+    """Deterministic JSON output: compact, sorted keys, one final newline.
+
+    The bytes are those of ``json.dumps(doc, separators=(",", ":"),
+    sort_keys=True) + "\\n"`` with every float array of one or two
+    dimensions replaced by its ``.tolist()``: floats in their shortest
+    round-trip digits, and ``NaN``, ``Infinity`` and ``-Infinity`` as
+    :mod:`json` spells them.  The arrays are written in bulk by
+    :func:`text.json_arrays`.
+    """
+    pieces = _pieces(doc)
+    arrays = iter(json_arrays([p for p in pieces if not isinstance(p, str)]))
+    payload = "".join(p if isinstance(p, str) else next(arrays) for p in pieces) + "\n"
     if hasattr(target, "write"):
         target.write(payload)
     else:

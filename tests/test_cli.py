@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fpopt import CoefficientPair, Covariance, construct_optimal, sharp_constant, validate_pair
+from fpopt import cli
 from fpopt.cli import main
 
 EPS = 0.05
@@ -31,6 +32,34 @@ def rotating_matrices(mu):
 
 def anisotropic_doc(extra):
     return {"K": {"diag": [1.0 / EPS, 1.0]}, **extra}
+
+
+def test_in_process_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; a call that argparse ends with
+    # exit 2 leaves it as fit for the next call as a fresh one
+    problem = write_json(tmp_path / "p.json", {"K": {"diag": [1.0, 2.0]}, "c": 2.0})
+    cert = str(tmp_path / "cert.json")
+    calls = [["optimize", problem, "--out", cert], ["validate", cert],
+             ["reproduce", "fig9"], ["optimize", problem, "--budget", "3"],
+             ["curve", problem], ["compare", problem, "--rate", "fast"],
+             ["compare", cert, "--rate", "1"], ["validate", cert]]
+
+    def outcomes():
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    shared = outcomes()
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 2, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outcomes() == shared
 
 
 # ----------------------------------------------------------------- optimize

@@ -30,13 +30,13 @@ from fpopt import kernel
 from fpopt.benchmarks import case_pairs, rotating_pair, split_schedule, symmetric_pair
 from fpopt.propagator import (
     _CHUNK_ELEMENTS,
-    _FORMAT_CHUNK,
     _Flow,
     _as_schedule,
     _log_top_singular,
     _refine_peaks,
     write_columns,
 )
+from fpopt.text import _FORMAT_CHUNK
 from helpers import integrate_flow, make_pair, random_admissible_pair, random_covariance
 
 #: Two distinct real eigenvalues, 1 +- sqrt(3)/2.
@@ -555,7 +555,7 @@ def test_write_columns_matches_percent_17g_on_any_double():
 
 
 def test_write_columns_edge_table(monkeypatch):
-    module = importlib.import_module("fpopt.propagator")
+    module = importlib.import_module("fpopt.text")
     edge = []
     for k in range(-323, 309):   # powers of ten and their neighbours, subnormals included
         p = float(f"1e{k}")

@@ -1,8 +1,14 @@
+import importlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fpopt
 from fpopt import Covariance, construct_optimal
 from fpopt.serialize import (
     ProblemFormatError,
@@ -32,9 +38,15 @@ def test_covariance_forms_agree():
         assert np.array_equal(cov.matrix, diag.matrix)
 
 
+def _dumped(doc) -> str:
+    buffer = io.StringIO()
+    dump_json(doc, buffer)
+    return buffer.getvalue()
+
+
 def test_certificate_round_trip():
     cert = construct_optimal(Covariance(np.array([1.0, 2.0, 5.0])), 1.7, variant="transpose")
-    doc = json.loads(json.dumps(certificate_to_dict(cert)))
+    doc = json.loads(_dumped(certificate_to_dict(cert)))
     assert np.abs(np.array(doc["C"]) - cert.pair.drift).max() <= 1e-15
     assert np.abs(np.array(doc["Q"]) - cert.Q).max() <= 1e-15
     assert doc["constant"] == pytest.approx(cert.constant, rel=1e-15)
@@ -94,3 +106,93 @@ def test_dump_json_is_compact_and_sorted(tmp_path):
     path = tmp_path / "doc.json"
     dump_json(doc, str(path))
     assert path.read_text() == '{"a":{"y":"x","z":null},"b":[1.5,2]}\n'
+
+
+def _reference(doc) -> str:
+    """The bytes ``dump_json`` promises: ``json.dumps`` of the document with
+    each array replaced by its ``.tolist()``."""
+    def plain(obj):
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
+        if isinstance(obj, dict):
+            return {key: plain(value) for key, value in obj.items()}
+        return obj
+    return json.dumps(plain(doc), separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def test_dump_json_matches_json_dumps_on_any_double():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    doubles = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                        st.floats(1e-6, 1e18), st.integers(-2**60, 2**60).map(float),
+                        st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e16, 1e-5]))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(doubles, max_size=40), st.integers(1, 5), st.integers(0, 4))
+    def check(values, ncols, empty_cols):
+        table = np.array(values[:len(values) - len(values) % ncols]).reshape(-1, ncols)
+        doc = {"vector": np.array(values), "table": table, "empty": np.zeros((empty_cols, 0)),
+               "nested": {"row": table[:1].ravel(), "n": len(values)},
+               "plain": values, "none": np.empty(0)}
+        assert _dumped(doc) == _reference(doc)
+
+    check()
+
+
+def test_dump_json_edge_table():
+    edge = [1e16, float(np.nextafter(1e16, 0)), float(np.nextafter(1e16, np.inf)),
+            9999999999999998.0, 1e-4, 1e-5, 1.2e-5, 0.0001, 99999.5,
+            5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            0.1, 0.2, 0.3, 1 / 3, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 1e23,
+            # carries: the shortest digits round up to the next power of ten
+            9.9999999999999999e16, 99999999999999999.0, 0.99999999999999999,
+            9.999999999999999e22, 9.9999999999999999e-250,
+            # exact ties at the 17th digit
+            2000000000000000.25, 2000000000000000.75, 100000000000000.125]
+    edge += [2.0**k for k in range(-1074, 1024)]   # the lower neighbour is half as far
+    edge += [float(np.nextafter(2.0**k, 0)) for k in range(-1073, 1024)]
+    for k in range(-323, 309):   # powers of ten and their neighbours
+        p = float(f"1e{k}")
+        edge += [p, float(np.nextafter(p, np.inf)), float(np.nextafter(p, -np.inf))]
+    values = np.array(edge + [0.0, -0.0, np.inf, -np.inf, np.nan])
+    values = np.concatenate((values, -values))
+    doc = {"a": values, "b": values[:len(values) // 4 * 4].reshape(-1, 4)}
+    assert _dumped(doc) == _reference(doc)
+    assert _dumped({"x": np.array([1e16, 9999999999999998.0, 1e-4, 1e-5, 1.0, -0.0, np.nan])}) \
+        == '{"x":[1e+16,9999999999999998.0,0.0001,1e-05,1.0,-0.0,NaN]}\n'
+
+
+def test_dump_json_spells_only_ties_ends_and_extremes_by_repr(monkeypatch):
+    module = importlib.import_module("fpopt.text")
+    module._decimal_tables()
+    fallback = []
+    words = module._words
+    monkeypatch.setattr(module, "_words", lambda strings, width: (
+        fallback.extend(strings), words(strings, width))[1])
+    mild = np.array([1.0, 0.1, 0.2, 0.3, 1 / 3, 2.0**60, 123.456, 1e-250, 1e249, 0.0, np.inf])
+    assert _dumped({"m": mild}) == _reference({"m": mild})
+    assert fallback == []
+    # a tie between two 17-digit candidates, interval ends on an integer
+    # (1e23 and 2**54 at an even mantissa), and values beyond the tables
+    odd = np.array([2000000000000000.75, 1e23, 2.0**54, 5e-324, 1e-300, 1e300])
+    assert _dumped({"o": odd}) == _reference({"o": odd})
+    assert fallback == [repr(v) for v in odd.tolist()]
+    fallback.clear()
+    rng = np.random.default_rng(20)
+    q = np.linalg.qr(rng.normal(size=(64, 64)))[0]
+    k = (q * np.geomspace(1.0, 1e6, 64)) @ q.T
+    doc = certificate_to_dict(construct_optimal(Covariance(0.5 * (k + k.T)), 2.0))
+    assert _dumped(doc) == _reference(doc)
+    assert fallback == []
+
+
+def test_import_builds_no_decimal_tables():
+    # the tables are built on the first write, which keeps them out of set-up
+    src = os.path.dirname(os.path.dirname(fpopt.__file__))
+    code = ("import fpopt, fpopt.cli\n"
+            "from fpopt.text import _decimal_tables\n"
+            "print(_decimal_tables.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "0"
