@@ -58,7 +58,6 @@ from .propagator import (
     initial_decay_rate,
     max_initial_decay,
     norm_curve,
-    propagator,
     sharp_constant,
     tangency_time,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "kalman_rank",
     "max_initial_decay",
     "norm_curve",
-    "propagator",
     "same_equilibrium",
     "sharp_constant",
     "skew_coupling",

@@ -30,8 +30,9 @@ class InvalidConstant(FpoptError):
 
 
 class InvalidInterval(FpoptError):
-    """A propagator was requested on an interval with t2 < t1, or a decay
-    curve or envelope on a horizon too long for the problem's time scale."""
+    """A decay curve or envelope was requested on a horizon too long for the
+    problem's time scale, or one over which the weighted propagator is not
+    finite."""
 
 
 class RateTooLarge(FpoptError):

@@ -6,11 +6,12 @@ operator norms agree for every time interval.  For piecewise-constant
 coefficients the operator is a finite product of matrix exponentials, so
 curves like ``t -> ||T(t, 0)||`` and their sharp exponential envelopes are
 computable to working precision rather than merely estimable.  This module
-provides the schedule object, the propagator, sampled norm curves with CSV
-export, the sharp multiplicative constant at a given rate (supremum of
-``exp(rate t) ||T(t, 0)||`` with slope-driven peak refinement), the 2D closed
-form for that constant, initial decay rates, and the pair of maximum
-initial decay.
+provides the schedule object, the one evaluator of ``T(t, 0)`` (the private
+``_Flow``, with its horizon cap and finiteness guard), sampled norm curves
+with CSV export, the sharp multiplicative constant at a given rate
+(supremum of ``exp(rate t) ||T(t, 0)||`` over a fixed grid, with
+slope-driven peak refinement), the 2D closed form for that constant,
+initial decay rates, and the pair of maximum initial decay.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ from .errors import (
 )
 from .text import write_columns
 
-#: Default number of uniform samples for curve grids and envelope scans.
+#: Default number of uniform samples for curve grids, and the number the
+#: envelope scan always takes.
 DEFAULT_SAMPLES = 4096
-
-#: Floor on the coarse scan grid backing sharp-constant searches.
-MIN_SCAN_SAMPLES = 2048
 
 #: Refined peaks within this log-slack of the grid maximum are candidates
 #: for the true supremum (covers the coarse grid's undershoot at a peak).
@@ -109,39 +108,51 @@ def _as_schedule(source: Union[Schedule, CoefficientPair]) -> Schedule:
 
 
 class _Flow:
-    """The package's one evaluator of T(t, start), over arrays of times.
+    """The package's one evaluator of T(t, 0), over arrays of times.
 
     The flow runs on the shifted whitened drifts ``C~_i - shift I``, so
     what it evaluates is the weighted propagator
-    ``M(t) = exp(shift (t - start)) T(t, start)``, and
-    ``log ||T(t, start)|| = -shift (t - start) + log ||M(t)||``.  With the
-    shift at the decay rate of interest, ``M`` stays of order one over any
-    horizon, so nothing it feeds (norms, their logarithms, the envelope
-    scan) ever sees a number near underflow.  Each segment's shifted drift
-    is factored once, by :func:`kernel.expm_stack`, which serves every time
-    in that segment with one stacked expression.  Prefix products
-    ``M(s)`` are cached at the switch times after ``start``.  Norms come
-    from :func:`_log_top_singular`, in closed form for 2x2 stacks and from
-    the Gram matrices ``M^T M`` otherwise, taken in stacks of at most
+    ``M(t) = exp(shift t) T(t, 0)``, and
+    ``log ||T(t, 0)|| = -shift t + log ||M(t)||``.  With the shift at the
+    decay rate of interest, ``M`` stays of order one over any horizon, so
+    nothing it feeds (norms, their logarithms, the envelope scan) ever
+    sees a number near underflow.  Each segment's shifted drift is
+    factored once, by :func:`kernel.expm_stack`, which serves every time
+    in that segment with one stacked expression.  Prefix products ``M(s)``
+    are cached at the switch times.  Norms come from
+    :func:`_log_top_singular`, in closed form for 2x2 stacks and from the
+    Gram matrices ``M^T M`` otherwise, taken in stacks of at most
     ``_CHUNK_ELEMENTS`` matrix entries.
+
+    ``cap`` is the longest horizon the problem's own time scale allows.
+    The eigenvalues of each shifted drift ``a`` are rounded by about
+    ``eps ||a||`` times their condition number, which makes the weights
+    ``exp(-t Re lambda)`` of :func:`kernel.expm_stack` overflow near
+    ``t ||a|| = 1e18``.  The cap ``1 / (eps max_i ||a_i||_F)`` keeps the
+    rounding's move of those exponents within about the condition number,
+    which the factored path bounds by ``kernel.EIG_COND_MAX``; a drift
+    equal to ``shift I`` has no time scale and no cap.
     """
 
-    def __init__(self, schedule: Schedule, start: float = 0.0, shift: float = 0.0):
-        first = int(np.searchsorted(schedule.switch_times, start, side="right"))
-        self.starts = (float(start),) + schedule.switch_times[first:]
-        self.shift = float(shift)
+    def __init__(self, schedule: Schedule, shift: float = 0.0):
+        self.starts = (0.0,) + schedule.switch_times
         self.dim = schedule.dim
-        self.drifts = np.array([p.whitened_drift - self.shift * np.eye(self.dim)
-                                for p in schedule.pairs[first:]])
-        self.exps = [kernel.expm_stack(a) for a in self.drifts]
+        self.drifts = np.array([p.whitened_drift - float(shift) * np.eye(self.dim)
+                                for p in schedule.pairs])
+        scale = max(np.linalg.norm(a) for a in self.drifts)
+        self.cap = 1.0 / (np.finfo(float).eps * scale) if scale else np.inf
         prefixes = [np.eye(self.dim)]
-        for exp, lo, hi in zip(self.exps, self.starts, self.starts[1:]):
-            prefixes.append(exp(np.array([hi - lo]))[0] @ prefixes[-1])
+        with np.errstate(all="ignore"):   # a prefix that overflows shows in log_norms
+            self.exps = [kernel.expm_stack(a) for a in self.drifts]
+            for exp, lo, hi in zip(self.exps, self.starts, self.starts[1:]):
+                prefixes.append(exp(np.array([hi - lo]))[0] @ prefixes[-1])
         self.prefixes = prefixes
 
-    def at(self, times: np.ndarray) -> np.ndarray:
-        """Stack of the weighted M(t) for a 1-D array of times ``t >= start``."""
-        segment = np.searchsorted(self.starts[1:], times, side="right")
+    def at(self, times: np.ndarray, segment: Optional[np.ndarray] = None) -> np.ndarray:
+        """Stack of the weighted M(t) for a 1-D array of times ``t >= 0``;
+        ``segment`` is each time's segment, found here if not given."""
+        if segment is None:
+            segment = np.searchsorted(self.starts[1:], times, side="right")
         out = np.empty((len(times), self.dim, self.dim))
         for i in np.unique(segment):
             hit = segment == i
@@ -151,34 +162,38 @@ class _Flow:
             out[hit] = m
         return out
 
-    def _chunks(self, times):
-        """``(offset, M)`` over chunks of ``times``."""
-        step = max(1, _CHUNK_ELEMENTS // self.dim**2)
-        for k in range(0, len(times), step):
-            yield k, self.at(times[k:k + step])
-
-    def log_norms(self, times) -> np.ndarray:
-        """``log ||M(t)||`` for each entry of a 1-D array of times."""
-        logs = np.empty(len(times))
-        for k, m in self._chunks(times):
-            logs[k:k + len(m)] = _log_top_singular(m)[0]
-        return logs
-
-    def log_norms_and_slopes(self, times):
-        """``log ||M(t)||`` and its time derivative ``-u^T (C~ - shift I) u``.
+    def log_norms(self, times: np.ndarray, horizon: float, name: str, slopes: bool = False):
+        """``log ||M(t)||`` for a 1-D array of times in ``[0, horizon]``,
+        and with ``slopes`` also its time derivative ``-u^T (C~ - shift I) u``.
 
         ``u`` is the top left singular vector of ``M(t)``.  At a switch time
         the slope is the right derivative, and where the top two singular
         values cross it is the slope of the branch that
-        :func:`_log_top_singular` picks.
+        :func:`_log_top_singular` picks.  Refuses a ``horizon`` beyond
+        ``cap``, and a weighted propagator that is not finite (scaling and
+        squaring on a nearly defective drift can overflow below the cap),
+        with :class:`InvalidInterval` naming the horizon ``name``, not a
+        warning.
         """
+        if horizon > self.cap:
+            raise InvalidInterval(
+                f"{name} {horizon:.6g} exceeds {self.cap:.6g}, the longest horizon "
+                "this problem's time scale allows (1 / (eps ||C~ - rate I||_F))")
         segment = np.searchsorted(self.starts[1:], times, side="right")
-        logs, slopes = np.empty(len(times)), np.empty(len(times))
-        for k, m in self._chunks(times):
-            logs[k:k + len(m)], u = _log_top_singular(m, left_vectors=True)
-            drift = self.drifts[segment[k:k + len(m)]]
-            slopes[k:k + len(m)] = -np.einsum("ni,nij,nj->n", u, drift, u)
-        return logs, slopes
+        logs = np.empty(len(times))
+        grads = np.empty(len(times)) if slopes else None
+        step = max(1, _CHUNK_ELEMENTS // self.dim**2)
+        with np.errstate(all="ignore"):
+            for k in range(0, len(times), step):
+                part = slice(k, k + step)
+                m = self.at(times[part], segment[part])
+                logs[part], u = _log_top_singular(m, left_vectors=slopes)
+                if slopes:
+                    grads[part] = -np.einsum("ni,nij,nj->n", u, self.drifts[segment[part]], u)
+        if not (logs < np.inf).all():   # nan or +inf; -inf is a norm underflowed to 0
+            raise InvalidInterval(f"{name} {horizon:.6g} is too long for this problem: "
+                                  "the weighted propagator is not finite within it")
+        return (logs, grads) if slopes else logs
 
 
 def _log_top_singular(m: np.ndarray, left_vectors: bool = False):
@@ -212,23 +227,6 @@ def _log_top_singular(m: np.ndarray, left_vectors: bool = False):
     u = (m @ vectors[:, :, -1:])[:, :, 0]
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     return 0.5 * np.log(eigenvalues[:, -1]), u
-
-
-def propagator(source: Union[Schedule, CoefficientPair], t1: float, t2: float) -> np.ndarray:
-    """Solution operator T(t2, t1) of the whitened drift ODE.
-
-    The product of segment exponentials over the pieces meeting
-    ``[t1, t2]``, with the earliest factor rightmost.  For a single pair
-    this reduces to one exponential of the whitened drift; by the
-    propagator-norm equality its operator norm is also the decay factor of
-    the drift-diffusion evolution from ``t1`` to ``t2``.
-    """
-    schedule = _as_schedule(source)
-    t1 = float(t1)
-    t2 = float(t2)
-    if not 0.0 <= t1 <= t2:
-        raise InvalidInterval(f"need 0 <= t1 <= t2, got [{t1}, {t2}]")
-    return _Flow(schedule, t1).at(np.array([t2]))[0]
 
 
 @dataclass(frozen=True)
@@ -272,30 +270,32 @@ def norm_curve(source: Union[Schedule, CoefficientPair], t_max: Optional[float] 
     Every grid point is evaluated once.  The curve reuses the envelope
     scan's values at every time the scan evaluated, its grid and its
     refined peaks: at the default ``t_max``, the scan's horizon
-    ``max(20 / rate, 4 * last switch)``, with ``samples`` at least
-    ``MIN_SCAN_SAMPLES``, that is the whole grid, the tangency point
-    included.  The values come from the flow weighted at the rate, so they
-    keep their relative accuracy down to the smallest normal double.
+    ``max(20 / rate, 4 * last switch)``, and the default ``samples``, the
+    scan's own grid size, that is the whole grid, the tangency point
+    included.  The scan's grid is fixed, so ``samples`` moves no constant
+    and no tangency point.  The values come from the flow weighted at the
+    rate, so they keep their relative accuracy down to the smallest normal
+    double.
 
     Raises
     ------
+    ValueError
+        If ``t_max`` is not positive and finite, or ``samples`` is below 2.
     RateTooLarge
         As :func:`sharp_constant`; with the default rate, when the final
         pair's boundary eigenvalue is defective.
     InvalidInterval
-        If ``t_max`` is too long for the problem's time scale
-        (:func:`_check_horizon`), or the weighted propagator is not finite
-        up to it.
+        If ``t_max`` exceeds the cap of the problem's time scale
+        (:class:`_Flow`), or the weighted propagator is not finite up to it.
     """
     schedule = _as_schedule(source)
-    if t_max is not None and not t_max > 0:
-        raise ValueError("t_max must be positive")
+    if t_max is not None and not 0.0 < t_max < np.inf:
+        raise ValueError("t_max must be positive and finite")
     if samples < 2:
         raise ValueError("need at least two samples")
     rate = float(spectral_gap(schedule.asymptotic_pair) if rate is None else rate)
-    scan = _scan_envelope(schedule, rate, samples)
+    scan = _scan_envelope(schedule, rate)
     t_max = scan.horizon if t_max is None else t_max
-    _check_horizon(schedule, rate, t_max, "t_max")
     grid = np.linspace(0.0, float(t_max), int(samples))
     extra = [s for s in schedule.switch_times if 0.0 < s < t_max]
     if 0.0 < scan.first_t < t_max:
@@ -307,43 +307,10 @@ def norm_curve(source: Union[Schedule, CoefficientPair], t_max: Optional[float] 
     fresh = scan.times[at] != grid
     log_weighted = np.empty(len(grid))
     log_weighted[~fresh] = scan.log_norms[at[~fresh]]
-    log_weighted[fresh] = _finite_log_norms(scan.flow, grid[fresh], "t_max", t_max)
+    log_weighted[fresh] = scan.flow.log_norms(grid[fresh], t_max, "t_max")
     values = np.exp(log_weighted - rate * grid)
     return NormCurve(times=grid, values=values, rate=rate,
                      sharp_constant=float(np.exp(scan.log_sup)))
-
-
-def _finite_log_norms(flow: _Flow, times: np.ndarray, name: str, horizon: float) -> np.ndarray:
-    """``flow.log_norms(times)``, refusing an overflow (scaling and squaring
-    on a nearly defective drift can overflow below the cap of
-    :func:`_check_horizon`) with :class:`InvalidInterval`, not a warning."""
-    with np.errstate(all="ignore"):
-        logs = flow.log_norms(times)
-    if not (logs < np.inf).all():   # nan or +inf; -inf is a norm underflowed to 0
-        raise InvalidInterval(f"{name} {horizon:.6g} is too long for this problem: "
-                              "the weighted propagator is not finite within it")
-    return logs
-
-
-def _check_horizon(schedule: Schedule, shift: float, horizon: float, name: str) -> None:
-    """Reject a ``horizon`` too long for the flow weighted at ``shift``.
-
-    The eigenvalues of each shifted drift ``a = C~_i - shift I`` are rounded
-    by about ``eps ||a||`` times their condition number, which makes the
-    weights ``exp(-t Re lambda)`` of :func:`kernel.expm_stack` overflow
-    near ``t ||a|| = 1e18``.  The cap ``1 / (eps max_i ||a_i||_F)`` is set
-    by the problem's own time scale: up to it, the rounding moves those
-    exponents by at most about the condition number, which the factored
-    path bounds by ``kernel.EIG_COND_MAX``.  Raises
-    :class:`InvalidInterval` naming ``name``.
-    """
-    eps = np.finfo(float).eps
-    scale = max(np.linalg.norm(p.whitened_drift - shift * np.eye(schedule.dim))
-                for p in schedule.pairs)
-    if horizon * eps * scale > 1.0:
-        raise InvalidInterval(
-            f"{name} {horizon:.6g} exceeds {1.0 / (eps * scale):.6g}, the longest horizon "
-            "this problem's time scale allows (1 / (eps ||C~ - rate I||_F))")
 
 
 class _ScanResult(NamedTuple):
@@ -390,7 +357,7 @@ def _refine_peaks(flow: _Flow, grid: np.ndarray, values: np.ndarray, centres: np
         if not k.size:
             break
         xk = x[k]
-        f, g = flow.log_norms_and_slopes(xk)
+        f, g = flow.log_norms(xk, grid[-1], "envelope horizon", slopes=True)
         # within rounding of the best value so far, the later iterate is the
         # better location: the root-finder converges, f is flat at a peak
         better = f >= best_f[k] - _REFINE_RTOL
@@ -411,7 +378,7 @@ def _refine_peaks(flow: _Flow, grid: np.ndarray, values: np.ndarray, centres: np
     return best_t, best_f
 
 
-def _scan_envelope(schedule: Schedule, rate: float, samples: int = DEFAULT_SAMPLES) -> _ScanResult:
+def _scan_envelope(schedule: Schedule, rate: float) -> _ScanResult:
     if not 0.0 < rate < np.inf:
         raise ValueError("rate must be positive and finite")
     # A rate beyond the asymptotic decay of the schedule makes the weighted
@@ -425,15 +392,12 @@ def _scan_envelope(schedule: Schedule, rate: float, samples: int = DEFAULT_SAMPL
             f"rate {rate:.6g} exceeds the asymptotic decay {gap:.6g} of the schedule")
     last_switch = schedule.switch_times[-1] if schedule.switch_times else 0.0
     horizon = max(20.0 / rate, 4.0 * last_switch)
-    _check_horizon(schedule, rate, horizon, "envelope horizon")
-    grid = np.linspace(0.0, horizon, max(int(samples), MIN_SCAN_SAMPLES))
+    grid = np.linspace(0.0, horizon, DEFAULT_SAMPLES)
     if schedule.switch_times:   # all of them lie within the horizon
         grid = np.unique(np.concatenate((grid, schedule.switch_times)))
-    # weighted at the rate, the flow's log norms are log(exp(rate t) ||T||);
-    # a prefix that overflows shows on the grid
-    with np.errstate(all="ignore"):
-        flow = _Flow(schedule, shift=rate)
-    logg = _finite_log_norms(flow, grid, "envelope horizon", horizon)
+    # weighted at the rate, the flow's log norms are log(exp(rate t) ||T||)
+    flow = _Flow(schedule, shift=rate)
+    logg = flow.log_norms(grid, horizon, "envelope horizon")
 
     # Genuine local maxima only: a rise below the noise floor of the log
     # values is sampling noise on a flat stretch, not a peak worth refining.
@@ -476,7 +440,7 @@ def sharp_constant(source: Union[Schedule, CoefficientPair], rate: float) -> flo
     slope around each competitive local maximum, so it depends only on the
     schedule and the rate.  The weighted curve is evaluated as such, so the
     horizon may be any multiple of ``1/rate`` up to the cap of
-    :func:`_check_horizon`.
+    :class:`_Flow`.
 
     The result is exact when the weighted curve is periodic after the last
     switch, as for the 2D rotating pairs and the schedules ending in one:
@@ -499,11 +463,14 @@ def sharp_constant(source: Union[Schedule, CoefficientPair], rate: float) -> flo
 
 
 def tangency_time(source: Union[Schedule, CoefficientPair], rate: float) -> float:
-    """Earliest ``t > 0`` where ``exp(rate t) ||T(t, 0)||`` attains its supremum.
+    """Earliest ``t >= 0`` where ``exp(rate t) ||T(t, 0)||`` attains its supremum.
 
     The first tangency of the decay curve with its sharp envelope, found
     by the scan of :func:`sharp_constant`; for the 2D rotating pairs the
-    tangencies recur with the half-period of the rotation.
+    tangencies recur with the half-period of the rotation.  A weighted
+    curve that never rises above its start, such as that of a symmetric
+    pair at its spectral gap, touches its envelope at ``t = 0``, and the
+    result is ``0.0``.
     """
     scan = _scan_envelope(_as_schedule(source), float(rate))
     return float(scan.first_t)

@@ -3,7 +3,8 @@
 import numpy as np
 import scipy.integrate
 
-from fpopt import CoefficientPair, Covariance
+from fpopt import CoefficientPair, Covariance, Schedule
+from fpopt.propagator import _Flow
 
 
 def random_spd(rng, dim, shift=0.5):
@@ -62,3 +63,16 @@ def integrate_flow(schedule, t, rtol=1e-12, atol=1e-14):
             start = end
         cols.append(x)
     return np.column_stack(cols)
+
+
+def propagator_at(schedule, t):
+    """T(t, 0) of ``schedule``, from the package's flow."""
+    return _Flow(schedule).at(np.array([float(t)]))[0]
+
+
+def restarted(schedule, s):
+    """``schedule`` seen from time ``s``: the pieces active after ``s``,
+    with their switch times moved back by ``s``.  Its T(t, 0) is the
+    original's T(s + t, s)."""
+    first = int(np.searchsorted(schedule.switch_times, s, side="right"))
+    return Schedule(schedule.pairs[first:], [t - s for t in schedule.switch_times[first:]])

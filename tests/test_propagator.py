@@ -1,5 +1,6 @@
 import importlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from fpopt import (
     initial_decay_rate,
     max_initial_decay,
     norm_curve,
-    propagator,
     sharp_constant,
     spectral_gap,
     tangency_time,
@@ -37,7 +37,14 @@ from fpopt.propagator import (
     write_columns,
 )
 from fpopt.text import _FORMAT_CHUNK
-from helpers import integrate_flow, make_pair, random_admissible_pair, random_covariance
+from helpers import (
+    integrate_flow,
+    make_pair,
+    propagator_at,
+    random_admissible_pair,
+    random_covariance,
+    restarted,
+)
 
 #: Two distinct real eigenvalues, 1 +- sqrt(3)/2.
 REAL_SPLIT = np.array([[0.0, -0.5], [0.5, 2.0]])
@@ -67,16 +74,18 @@ def test_schedule_validation():
 # --------------------------------------------------------------- propagator
 
 def test_propagator_empty_interval_identity():
-    schedule = Schedule.constant(rotating_pair(7.0))
-    assert np.array_equal(propagator(schedule, 1.3, 1.3), np.eye(2))
+    schedule = Schedule([rotating_pair(7.0), rotating_pair(11.0)], [0.4])
+    assert np.array_equal(propagator_at(schedule, 0.0), np.eye(2))
+    assert np.array_equal(propagator_at(restarted(schedule, 1.3), 0.0), np.eye(2))
 
 
 def test_propagator_constant_schedule_semigroup():
     pair = rotating_pair(7.0)
+    schedule = Schedule.constant(pair)
     t = 0.8
-    direct = propagator(pair, 0.0, t)
+    direct = propagator_at(schedule, t)
     assert np.abs(direct - expm(pair.whitened_drift, t)).max() <= 1e-14
-    composed = propagator(pair, 0.4, t) @ propagator(pair, 0.0, 0.4)
+    composed = propagator_at(restarted(schedule, 0.4), t - 0.4) @ propagator_at(schedule, 0.4)
     assert np.linalg.norm(direct - composed) <= 1e-10
 
 
@@ -85,30 +94,25 @@ def test_propagator_identical_pieces_reduce_to_constant():
     schedule = Schedule([pair, pair], [0.1])
     for t in (0.05, 0.1, 0.31, 2.0):
         expected = expm(pair.whitened_drift, t)
-        assert np.linalg.norm(propagator(schedule, 0.0, t) - expected) <= 1e-12
+        assert np.linalg.norm(propagator_at(schedule, t) - expected) <= 1e-12
 
 
 def test_propagator_composition_across_breakpoints():
+    # T(t2, 0) = T(t2, t1) T(t1, 0), with T(t2, t1) that of the schedule
+    # restarted at t1, on both sides of the switch at 0.1
     rng = np.random.default_rng(41)
     schedule = split_schedule(rotating_pair(11.0), 0.1)
     for _ in range(10):
-        t0, t1, t2 = np.sort(rng.uniform(0.0, 0.5, size=3))
-        full = propagator(schedule, t0, t2)
-        split = propagator(schedule, t1, t2) @ propagator(schedule, t0, t1)
+        t1, t2 = np.sort(rng.uniform(0.0, 0.5, size=2))
+        full = propagator_at(schedule, t2)
+        split = propagator_at(restarted(schedule, t1), t2 - t1) @ propagator_at(schedule, t1)
         assert np.linalg.norm(full - split) <= 1e-10
 
 
 def test_propagator_matches_ode_oracle_across_switch():
     schedule = split_schedule(symmetric_pair(), 0.1)
     for t in (0.05, 0.1, 0.6, 1.7):
-        assert np.abs(propagator(schedule, 0.0, t) - integrate_flow(schedule, t)).max() <= 1e-8
-
-
-def test_propagator_rejects_reversed_interval():
-    with pytest.raises(InvalidInterval):
-        propagator(Schedule.constant(rotating_pair(7.0)), 1.0, 0.5)
-    with pytest.raises(InvalidInterval):
-        propagator(Schedule.constant(rotating_pair(7.0)), -0.5, 1.0)
+        assert np.abs(propagator_at(schedule, t) - integrate_flow(schedule, t)).max() <= 1e-8
 
 
 def test_propagator_contraction_bound():
@@ -118,7 +122,7 @@ def test_propagator_contraction_bound():
     schedule = Schedule(pairs, [0.3, 0.7])
     for _ in range(10):
         t1, t2 = np.sort(rng.uniform(0.0, 3.0, size=2))
-        assert np.linalg.norm(propagator(schedule, t1, t2), 2) <= 1.0 + 1e-12
+        assert np.linalg.norm(propagator_at(restarted(schedule, t1), t2 - t1), 2) <= 1.0 + 1e-12
 
 
 # ------------------------------------------------------- stacked evaluator
@@ -174,7 +178,7 @@ def test_flow_norms_match_mpmath_on_fast_rotation():
     flow = _Flow(Schedule.constant(pair))
     assert flow.exps[0].factored
     times = np.linspace(0.0, 20.0, 41)
-    values = np.exp(flow.log_norms(times))
+    values = np.exp(flow.log_norms(times, 20.0, "t_max"))
     with mpmath.workdps(40):
         drift = mpmath.matrix(pair.whitened_drift.tolist())
         reference = [float(max(mpmath.svd_r(mpmath.expm(-mpmath.mpf(t) * drift),
@@ -244,7 +248,7 @@ def test_closed_form_2x2_norms_match_gram_route():
     logs, u = _log_top_singular(np.eye(2)[None], left_vectors=True)
     assert logs[0] == 0.0 and np.all(np.isfinite(u))
     flow = _Flow(Schedule.constant(rotating_pair(7.0)), shift=1.0)
-    assert flow.log_norms(np.array([0.0, 0.5]))[0] == 0.0
+    assert flow.log_norms(np.array([0.0, 0.5]), 0.5, "t_max")[0] == 0.0
 
 
 def test_closed_form_2x2_slopes_match_gram_route():
@@ -326,12 +330,12 @@ def test_peak_refinement_matches_golden_section_and_mpmath(case):
         switch, schedule = 0.14, split_schedule(rotating_pair(11.0), 0.14)
         grid = np.array([0.135, 0.15, 0.16])
     flow = _Flow(schedule, shift=rate)
-    values = flow.log_norms(grid)
+    values = flow.log_norms(grid, grid[-1], "t_max")
     centres = np.arange(1, len(grid), 3)
     peak_t, peak_v = _refine_peaks(flow, grid, values, centres)
 
     def objective(t):
-        return flow.log_norms(np.array([t]))[0]
+        return flow.log_norms(np.array([t]), grid[-1], "t_max")[0]
 
     drifts = [mpmath.matrix(p.whitened_drift.tolist()) for p in schedule.pairs]
     for c, t, v in zip(centres, peak_t, peak_v):
@@ -440,6 +444,25 @@ def test_norm_curve_rate_must_be_positive_and_finite():
         norm_curve(CoefficientPair(cov, np.diag([1.0, 0.0]), np.diag([1.0, 0.0])), 1.0, 16)
     with pytest.raises(ValueError, match="rate must be positive and finite"):
         norm_curve(rotating_pair(7.0), 1.0, 16, rate=np.inf)
+    # nor may t_max be infinite, even where the time scale sets no cap
+    _, balanced = max_initial_decay(Covariance(np.array([1.0, 2.0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            norm_curve(balanced, np.inf, 4)
+
+
+@pytest.mark.parametrize("dim", [2, 8, 16])
+def test_curve_constant_and_tangency_agree_with_the_scan_queries(dim):
+    # the scan's grid is fixed, so a curve's grid size moves neither its
+    # constant nor its inserted tangency point, not even by an ulp
+    cert = construct_optimal(Covariance(np.geomspace(1.0, 10.0, dim)), 2.0)
+    constant = sharp_constant(cert.pair, cert.rate)
+    first = tangency_time(cert.pair, cert.rate)
+    for samples in (2, 64, 4096, 10000):
+        curve = norm_curve(cert.pair, samples=samples, rate=cert.rate)
+        assert curve.sharp_constant == constant
+        assert first in curve.times
 
 
 def test_horizons_are_capped_by_the_problem_time_scale():
@@ -612,6 +635,8 @@ def test_sharp_constant_symmetric_pair_is_one():
     cov = Covariance(np.array([1.0, 2.0]))
     pair = CoefficientPair(cov, cov.inv, np.eye(2))
     assert sharp_constant(pair, 0.5) == pytest.approx(1.0, abs=1e-9)
+    # a flat weighted curve touches its envelope at t = 0
+    assert tangency_time(symmetric_pair(), spectral_gap(symmetric_pair())) == 0.0
 
 
 def test_sharp_constant_split_schedule_at_tangency():
