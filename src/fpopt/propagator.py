@@ -16,6 +16,9 @@ initial decay rates, and the pair of maximum initial decay.
 
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -48,8 +51,9 @@ _REFINE_STEPS = 200
 #: also the rounding level of the log norms, below which two are tied.
 _REFINE_RTOL = 8.0 * np.finfo(float).eps
 
-#: Matrix entries per stacked evaluation, which bounds the working memory of
-#: a curve at large d (2**16 doubles, 512 KiB, per stack of propagators).
+#: Matrix entries per stacked evaluation, summed over the threads that
+#: evaluate at once, which bounds the working memory of a curve at large d
+#: (2**16 doubles, 512 KiB, of propagators in flight).
 _CHUNK_ELEMENTS = 2**16
 
 class Schedule:
@@ -132,6 +136,15 @@ class _Flow:
     rounding's move of those exponents within about the condition number,
     which the factored path bounds by ``kernel.EIG_COND_MAX``; a drift
     equal to ``shift I`` has no time scale and no cap.
+
+    For ``d > 2`` a call of two or more chunks runs on every CPU (see
+    :class:`_Split`): the calling thread takes the first contiguous share of
+    the chunks and the split's worker threads the others, each writing its
+    own slices of the output.  A chunk's values do not depend on the thread
+    that computes them, so the result is the serial loop's bit for bit.
+    The chunks then hold ``_CHUNK_ELEMENTS`` entries over all threads, not
+    each.  With one CPU, or no thread limit in numpy's OpenBLAS, the chunks
+    run one after another in the calling thread.
     """
 
     def __init__(self, schedule: Schedule, shift: float = 0.0):
@@ -182,18 +195,129 @@ class _Flow:
         segment = np.searchsorted(self.starts[1:], times, side="right")
         logs = np.empty(len(times))
         grads = np.empty(len(times)) if slopes else None
-        step = max(1, _CHUNK_ELEMENTS // self.dim**2)
-        with np.errstate(all="ignore"):
-            for k in range(0, len(times), step):
-                part = slice(k, k + step)
-                m = self.at(times[part], segment[part])
-                logs[part], u = _log_top_singular(m, left_vectors=slopes)
-                if slopes:
-                    grads[part] = -np.einsum("ni,nij,nj->n", u, self.drifts[segment[part]], u)
+        split = _splitter() if self.dim > 2 else None
+        step = max(1, _CHUNK_ELEMENTS // ((split.threads if split else 1) * self.dim**2))
+        chunks = range(0, len(times), step)
+
+        def fill(share):
+            with np.errstate(all="ignore"):   # per thread: workers do not inherit it
+                for k in share:
+                    part = slice(k, k + step)
+                    m = self.at(times[part], segment[part])
+                    logs[part], u = _log_top_singular(m, left_vectors=slopes)
+                    if slopes:
+                        grads[part] = -np.einsum("ni,nij,nj->n", u, self.drifts[segment[part]], u)
+
+        if split and len(chunks) > 1:
+            split.run(fill, np.array_split(chunks, min(split.threads, len(chunks))))
+        else:
+            fill(chunks)
         if not (logs < np.inf).all():   # nan or +inf; -inf is a norm underflowed to 0
             raise InvalidInterval(f"{name} {horizon:.6g} is too long for this problem: "
                                   "the weighted propagator is not finite within it")
         return (logs, grads) if slopes else logs
+
+
+class _Split:
+    """Worker threads that share out the chunks of a ``d > 2`` flow evaluation.
+
+    ``threads`` counts the evaluating threads: the caller and one pool
+    worker per further CPU.  They only gain if each runs OpenBLAS on one
+    thread; with its default pool, OpenBLAS's own threads spin between
+    calls and the evaluating threads wait for each other.  The limit is
+    ``openblas_set_num_threads_local`` of the OpenBLAS that numpy loaded.
+    Despite its name it sets the process-wide count in OpenBLAS's pthreads
+    builds, which numpy's wheels are.  So :meth:`run` holds it at one thread
+    while any split call is under way, and the last call to finish puts
+    back the count that the first one found.
+    """
+
+    def __init__(self, threads: int, set_blas_threads):
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.threads = threads
+        self.pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="fpopt-flow")
+        self.set_blas_threads = set_blas_threads
+        self.lock = threading.Lock()
+        self.holders = 0      # split calls under way
+        self.saved = 0        # the BLAS thread count the first of them found
+
+    @contextmanager
+    def one_blas_thread(self):
+        with self.lock:
+            if not self.holders:
+                self.saved = self.set_blas_threads(1)
+            self.holders += 1
+        try:
+            yield
+        finally:
+            with self.lock:
+                self.holders -= 1
+                if not self.holders:
+                    self.set_blas_threads(self.saved)
+
+    def run(self, work, shares):
+        """Call ``work(share)`` for each share, the first in this thread and
+        the others on the pool.  Returns once all have finished, re-raising
+        the first failure: this thread's, else the earliest share's."""
+        from concurrent.futures import wait
+
+        with self.one_blas_thread():
+            futures = [self.pool.submit(work, share) for share in shares[1:]]
+            try:
+                work(shares[0])
+            finally:
+                wait(futures)
+        for future in futures:
+            future.result()
+
+
+def _openblas_thread_limit():
+    """``openblas_set_num_threads_local`` of the OpenBLAS in numpy's wheel,
+    which sets the count and returns the previous one, or ``None``."""
+    import ctypes
+    import glob
+
+    libraries = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                       "numpy.libs", "*openblas*"))
+    if len(libraries) != 1:
+        return None
+    try:
+        function = ctypes.CDLL(libraries[0]).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    function.argtypes, function.restype = [ctypes.c_int], ctypes.c_int
+    return function
+
+
+#: The :class:`_Split`, built on first use; ``False`` where it cannot run
+#: (one CPU, or no thread limit found), ``None`` before the first use.
+_split = None
+_split_lock = threading.Lock()
+
+
+def _splitter():
+    global _split
+    with _split_lock:
+        if _split is None:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+            limit = _openblas_thread_limit() if cpus > 1 else None
+            _split = _Split(cpus, limit) if limit else False
+    return _split
+
+
+def _forget_split():
+    """In a forked child: the pool's threads did not survive the fork, so
+    the next split call builds a new one, and a hold taken by a call in
+    another thread of the parent is released."""
+    global _split, _split_lock
+    if _split and _split.holders:
+        _split.set_blas_threads(_split.saved)
+    _split, _split_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_split)
 
 
 def _log_top_singular(m: np.ndarray, left_vectors: bool = False):
@@ -239,7 +363,10 @@ class NormCurve:
     :func:`sharp_constant` at ``rate``: exact for the periodic 2D curves, a
     lower bound in higher dimension.  The grid contains the first refined
     tangency point whenever it falls inside the horizon, so the envelope
-    touches the curve on the grid itself.
+    touches the curve on the grid itself.  A tangency point within rounding
+    (``_REFINE_RTOL`` relative) of a switch time, as on a schedule switched
+    at its first pair's tangency, is not added: the switch time stands in
+    for it, and the grid holds no two points an ulp apart.
     """
 
     times: np.ndarray
@@ -265,7 +392,8 @@ def norm_curve(source: Union[Schedule, CoefficientPair], t_max: Optional[float] 
     gap of the final pair.  Its constant is computed as by
     :func:`sharp_constant` (exact for the periodic 2D curves, a lower bound
     in higher dimension), and the first tangency point, if it falls inside
-    ``[0, t_max]``, is added to the grid.
+    ``[0, t_max]`` and not within rounding of a switch time, is added to
+    the grid.
 
     Every grid point is evaluated once.  The curve reuses the envelope
     scan's values at every time the scan evaluated, its grid and its
@@ -298,7 +426,8 @@ def norm_curve(source: Union[Schedule, CoefficientPair], t_max: Optional[float] 
     t_max = scan.horizon if t_max is None else t_max
     grid = np.linspace(0.0, float(t_max), int(samples))
     extra = [s for s in schedule.switch_times if 0.0 < s < t_max]
-    if 0.0 < scan.first_t < t_max:
+    if 0.0 < scan.first_t < t_max and not any(
+            abs(scan.first_t - s) <= _REFINE_RTOL * scan.first_t for s in extra):
         extra.append(scan.first_t)
     if extra:
         grid = np.unique(np.concatenate((grid, np.asarray(extra))))

@@ -1,5 +1,11 @@
 import importlib
 import io
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -26,10 +32,11 @@ from fpopt import (
     tangency_time,
     validate_pair,
 )
-from fpopt import kernel
+from fpopt import kernel, propagator
 from fpopt.benchmarks import case_pairs, rotating_pair, split_schedule, symmetric_pair
 from fpopt.propagator import (
     _CHUNK_ELEMENTS,
+    _REFINE_RTOL,
     _Flow,
     _as_schedule,
     _log_top_singular,
@@ -359,6 +366,155 @@ def test_peak_refinement_matches_golden_section_and_mpmath(case):
         assert switch < peak_t[0] < grid[2]
 
 
+# ---------------------------------------------------------- split evaluation
+
+@pytest.fixture
+def split():
+    """The split of ``_Flow.log_norms`` across the CPUs, with OpenBLAS set
+    to 3 threads, a count no split call sets, so that a test can check that
+    its calls put the count back."""
+    split = propagator._splitter()
+    if not split:
+        pytest.skip("one CPU, or no OpenBLAS thread limit: log_norms runs serially")
+    before = split.set_blas_threads(3)
+    yield split
+    split.set_blas_threads(before)
+
+
+def blas_threads(split):
+    count = split.set_blas_threads(1)
+    split.set_blas_threads(count)
+    return count
+
+
+def constructed_pair(dim):
+    return construct_optimal(Covariance(np.geomspace(1.0, 10.0, dim)), 2.0)
+
+
+@pytest.mark.parametrize("dim", [8, 32, 64])
+def test_split_log_norms_equal_the_serial_loop(split, monkeypatch, dim):
+    cert = constructed_pair(dim)
+    flow = _Flow(Schedule.constant(cert.pair), shift=cert.rate)
+    times = np.linspace(0.0, 20.0 / cert.rate, 3 * _CHUNK_ELEMENTS // dim**2 + 5)
+    shares, run = [], propagator._Split.run
+
+    def counted_run(self, work, parts):
+        shares.append(len(parts))
+        return run(self, work, parts)
+
+    monkeypatch.setattr(propagator._Split, "run", counted_run)
+    logs, slopes = flow.log_norms(times, times[-1], "t_max", slopes=True)
+    only_logs = flow.log_norms(times, times[-1], "t_max")
+    assert shares == [split.threads] * 2
+    assert blas_threads(split) == 3 and split.holders == 0
+    monkeypatch.setattr(propagator, "_split", False)
+    serial_logs, serial_slopes = flow.log_norms(times, times[-1], "t_max", slopes=True)
+    assert np.array_equal(logs, serial_logs) and np.array_equal(slopes, serial_slopes)
+    assert np.array_equal(only_logs, flow.log_norms(times, times[-1], "t_max"))
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_split_raises_a_share_failure_once_every_share_is_done(split, monkeypatch, failing):
+    flow = _Flow(Schedule.constant(constructed_pair(16).pair))
+    times = np.linspace(0.0, 5.0, 4 * _CHUNK_ELEMENTS // 16**2)
+    eigvalsh, raised, calls = np.linalg.eigvalsh, [], []
+
+    def eigvalsh_failing_in_one_thread(gram):
+        in_worker = threading.current_thread().name.startswith("fpopt-flow")
+        if in_worker == (failing == "worker"):
+            raised.append(np.linalg.LinAlgError(f"no convergence in the {failing}"))
+            raise raised[-1]
+        time.sleep(0.02)
+        calls.append(gram)
+        return eigvalsh(gram)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_failing_in_one_thread)
+    with pytest.raises(np.linalg.LinAlgError, match=failing) as caught:
+        flow.log_norms(times, times[-1], "t_max")
+    finished = len(calls)
+    time.sleep(0.1)
+    assert any(caught.value is exc for exc in raised)   # re-raised as it was
+    assert finished == len(calls) > 0                   # no share still running
+    assert blas_threads(split) == 3 and split.holders == 0
+
+
+def test_user_threads_at_once_get_the_single_thread_curves(split, monkeypatch):
+    # more user threads than CPUs and frequent switches, so that the calls'
+    # holds on the BLAS thread count overlap in every order
+    cert = constructed_pair(16)
+    users = 4
+    barrier, curves, failures = threading.Barrier(users), [None] * users, []
+
+    def draw(i):
+        barrier.wait()
+        try:
+            curves[i] = norm_curve(cert.pair, rate=cert.rate)
+        except BaseException as exc:
+            failures.append(exc)
+
+    threads = [threading.Thread(target=draw, args=(i,)) for i in range(users)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not failures
+    assert blas_threads(split) == 3 and split.holders == 0
+    monkeypatch.setattr(propagator, "_split", False)
+    serial = norm_curve(cert.pair, rate=cert.rate)
+    for curve in curves:
+        assert curve.sharp_constant == serial.sharp_constant
+        assert np.array_equal(curve.times, serial.times)
+        assert np.array_equal(curve.values, serial.values)
+
+
+@pytest.mark.parametrize("missing", ["second CPU", "thread limit"])
+def test_log_norms_run_serially_without_a_second_cpu_or_the_thread_limit(monkeypatch, missing):
+    cert = constructed_pair(16)
+    reference = norm_curve(cert.pair, rate=cert.rate)
+    monkeypatch.setattr(propagator, "_split", None)
+    if missing == "second CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.setattr(propagator, "_openblas_thread_limit", lambda: None)
+    curve = norm_curve(cert.pair, rate=cert.rate)
+    assert propagator._split is False
+    assert curve.sharp_constant == reference.sharp_constant
+    assert np.array_equal(curve.values, reference.values)
+
+
+def test_forked_child_evaluates_after_the_parent_split():
+    # the parent's pool threads do not survive a fork; the child must not
+    # queue its shares on them
+    pair = constructed_pair(16).pair
+    constant = norm_curve(pair).sharp_constant
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=lambda: send.send(
+        (norm_curve(pair).sharp_constant, type(propagator._split).__name__)))
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+    assert receive.recv() == (constant, type(propagator._split).__name__)
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures loads on the first split evaluation (ctypes, which
+    # the split also uses, is loaded by numpy itself)
+    src = os.path.dirname(os.path.dirname(propagator.__file__))
+    code = "import sys, fpopt.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------- norm curve
 
 def count_evaluations(monkeypatch):
@@ -644,6 +800,21 @@ def test_sharp_constant_split_schedule_at_tangency():
     switch = tangency_time(fast, 1.0)
     constant = sharp_constant(split_schedule(fast, switch), 1.0)
     assert constant == pytest.approx(np.sqrt(6.0 / 5.0), abs=1e-3)
+
+
+def test_curve_adds_no_tangency_a_rounding_from_the_switch():
+    # fig4's fp5 schedule switches at its first pair's tangency, and its
+    # own refined tangency lies an ulp or two from the switch time
+    fast = rotating_pair(11.0)
+    switch = tangency_time(fast, 1.0)
+    schedule = split_schedule(fast, switch)
+    first = tangency_time(schedule, 1.0)
+    assert first != switch and abs(first - switch) <= _REFINE_RTOL * first
+    curve = norm_curve(schedule, 8.0, rate=1.0)
+    assert switch in curve.times and first not in curve.times
+    assert np.diff(curve.times).min() > _REFINE_RTOL * curve.times[-1]
+    touch = curve.values * np.exp(curve.times) / curve.sharp_constant
+    assert touch.max() == pytest.approx(1.0, rel=4 * np.finfo(float).eps)
 
 
 def test_sharp_constant_below_budget_across_dimensions():
