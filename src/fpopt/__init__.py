@@ -11,6 +11,7 @@ matrix-exponential propagator norms.
 from .errors import (
     EigenFailure,
     FpoptError,
+    InvalidArgument,
     InvalidConstant,
     InvalidInterval,
     InvalidMatrix,
@@ -71,6 +72,7 @@ __all__ = [
     "EigenFailure",
     "FpoptError",
     "GrowthRow",
+    "InvalidArgument",
     "InvalidConstant",
     "InvalidInterval",
     "InvalidMatrix",

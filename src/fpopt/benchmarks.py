@@ -21,10 +21,6 @@ DEFAULT_EPS = 0.05
 #: Reference rotation strength: sharp constant sqrt(4/3) at rate 1.
 REFERENCE_MU = 7.0
 
-#: Hand-picked switch time for the mu = 13.8 initial layer; it is the first
-#: envelope tangency of that pair, see tangency_time.
-FAST_SWITCH = 0.11413
-
 
 def anisotropic_covariance(eps: float = DEFAULT_EPS) -> Covariance:
     """The benchmark equilibrium diag(1/eps, 1); fastest rate 1."""

@@ -3,11 +3,11 @@
 Subcommands: ``optimize`` (build and serialise an optimal pair),
 ``validate`` (check an explicit pair), ``curve`` (sample a decay curve to
 CSV), ``compare`` (rank schedules by sharp constant), and ``reproduce``
-(regenerate the bundled 2D benchmark figure data).  Exit codes: 2 unparsable
-input (also a horizon too long for the problem's time scale), 3 invalid
-envelope constant, 4 failed validation, 5 unsustainable envelope rate, 6
-mixed equilibria.  No plotting here on purpose; every consumer gets
-deterministic CSV/JSON bytes.
+(regenerate the bundled 2D benchmark figure data).  Exit codes, to which
+:func:`main` maps the library's errors: 2 unparsable input (also a rate,
+horizon or grid size that the library refuses), 3 invalid envelope constant,
+4 failed validation, 5 unsustainable envelope rate, 6 mixed equilibria.  No
+plotting here on purpose; every consumer gets deterministic CSV/JSON bytes.
 
 Figures are rows of one table, ``_FIGURES``: each entry only declares its
 figure's rows, and :func:`cmd_reproduce` alone knows the output layout.
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, benchmarks
 from .construction import VARIANTS, construct_optimal
-from .equilibrium import spectral_gap, validate_pair
+from .equilibrium import validate_pair
 from .errors import FpoptError, InvalidConstant, MixedEquilibria, RateTooLarge
 from .propagator import (
     DEFAULT_SAMPLES,
@@ -55,23 +55,6 @@ _FIGURE_T_MAX = 8.0
 def _fail(message: str, code: int) -> int:
     print(f"fpopt: {message}", file=sys.stderr)
     return code
-
-
-def _positive(name: str, value):
-    """``value``; a parse failure if it is given and not finite and positive."""
-    if value is not None and not 0.0 < value < np.inf:
-        raise ProblemFormatError(f"{name} must be finite and positive, got {value:g}")
-    return value
-
-
-def _samples(value) -> int:
-    """A grid size: ``DEFAULT_SAMPLES`` if not given, else an integer >= 2
-    or a parse failure."""
-    if value is None:
-        return DEFAULT_SAMPLES
-    if isinstance(value, bool) or not isinstance(value, int) or value < 2:
-        raise ProblemFormatError(f"samples must be an integer >= 2, got {value!r}")
-    return value
 
 
 def _write_text(payload: str, out: str | None) -> None:
@@ -118,12 +101,9 @@ def cmd_curve(args) -> int:
         return _fail("curve needs a pair or a schedule in the input", EXIT_PARSE)
     analysis = problem.analysis or {}
     rate = args.rate if args.rate is not None else analysis.get("rate")
-    if rate is None:
-        rate = spectral_gap(source.asymptotic_pair)
-    rate = _positive("rate", rate)
-    t_max = _positive("t_max", args.tmax if args.tmax is not None else analysis.get("t_max"))
+    t_max = args.tmax if args.tmax is not None else analysis.get("t_max")
     samples = args.samples if args.samples is not None else analysis.get("samples")
-    curve = norm_curve(source, t_max, _samples(samples), rate=rate)
+    curve = norm_curve(source, t_max, samples, rate=rate)
     curve.write_csv(args.out or sys.stdout)
     return 0
 
@@ -137,7 +117,7 @@ def cmd_compare(args) -> int:
             return _fail(f"{path}: needs a pair or a schedule", EXIT_PARSE)
         schedules.append(source)
         labels.append(os.path.basename(path))
-    rows = compare_schedules(schedules, _positive("rate", args.rate), labels)
+    rows = compare_schedules(schedules, args.rate, labels)
     lines = ["id\tsharp_constant\tmax_drift_frobenius"]
     for row in rows:
         lines.append(f"{row.label}\t{row.sharp_constant:.17g}"
@@ -171,9 +151,8 @@ def _fig2(samples: int):
             ("fig2_norm_mu7.csv", benchmarks.rotating_pair(7.0), {"mu": 7.0}),
             ("fig2_norm_symmetric.csv", benchmarks.symmetric_pair(), {}),
             ("fig2_norm_balanced.csv", benchmarks.balanced_pair(), {})):
-        gap = spectral_gap(pair)
-        rows.append((name, "norm_curve", {**params, "rate": gap},
-                     norm_curve(pair, _FIGURE_T_MAX, samples, rate=gap)))
+        curve = norm_curve(pair, _FIGURE_T_MAX, samples)
+        rows.append((name, "norm_curve", {**params, "rate": curve.rate}, curve))
     rows.append(("fig2_envelope.csv", "envelope", {"c": c, "rate": 1.0}, (c, 1.0)))
     return rows, {}
 
@@ -194,15 +173,12 @@ def _fig3(samples: int):
 
 def _fig4(samples: int):
     """Tangency-timed switching: the reference rotation against initial
-    layers of mu = 11 (switched at its first tangency) and mu = 13.8."""
-    fp5 = benchmarks.rotating_pair(11.0)
-    fp5_switch = tangency_time(fp5, 1.0)
-    cases = {
-        "fp1": (Schedule.constant(benchmarks.rotating_pair(benchmarks.REFERENCE_MU)), None),
-        "fp5": (benchmarks.split_schedule(fp5, fp5_switch), fp5_switch),
-        "fp6": (benchmarks.split_schedule(benchmarks.rotating_pair(13.8),
-                                          benchmarks.FAST_SWITCH), benchmarks.FAST_SWITCH),
-    }
+    layers of mu = 11 and mu = 13.8, each switched at its first tangency."""
+    cases = {"fp1": (Schedule.constant(benchmarks.rotating_pair(benchmarks.REFERENCE_MU)), None)}
+    for label, mu in (("fp5", 11.0), ("fp6", 13.8)):
+        first = benchmarks.rotating_pair(mu)
+        switch = tangency_time(first, 1.0)
+        cases[label] = (benchmarks.split_schedule(first, switch), switch)
     rows = []
     for label, (schedule, switch) in cases.items():
         curve = norm_curve(schedule, _FIGURE_T_MAX, samples, rate=1.0)
@@ -223,13 +199,11 @@ _FIGURES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4}
 
 
 def cmd_reproduce(args) -> int:
-    samples = _samples(args.samples)
-    outdir = args.outdir
-    os.makedirs(outdir, exist_ok=True)
-    rows, extra = _FIGURES[args.figure](samples)
-    times = np.linspace(0.0, _FIGURE_T_MAX, samples)
+    rows, extra = _FIGURES[args.figure](args.samples)   # refuses a bad grid size
+    os.makedirs(args.outdir, exist_ok=True)
+    times = np.linspace(0.0, _FIGURE_T_MAX, args.samples)
     for name, _, _, data in rows:
-        path = os.path.join(outdir, name)
+        path = os.path.join(args.outdir, name)
         if isinstance(data, NormCurve):
             data.write_csv(path)
         else:
@@ -239,7 +213,7 @@ def cmd_reproduce(args) -> int:
                 "files": [{"file": name, "role": role, "params": params}
                           for name, role, params, _ in rows],
                 "version": __version__}
-    dump_json(manifest, os.path.join(outdir, f"{args.figure}_manifest.json"))
+    dump_json(manifest, os.path.join(args.outdir, f"{args.figure}_manifest.json"))
     return 0
 
 
@@ -284,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="regenerate the bundled benchmark figure data")
     p.add_argument("figure", choices=_FIGURES)
     p.add_argument("--outdir", default=".", help="directory for the CSV files and manifest")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.set_defaults(func=cmd_reproduce)
     return parser
 

@@ -30,9 +30,10 @@ class Covariance:
     """Symmetric positive-definite covariance with eagerly cached spectral data.
 
     Accepts a full SPD matrix or a 1-D array of variances (the diagonal
-    case); :meth:`from_eigen` builds one from a prescribed eigenbasis.  All
-    derived matrices (inverse, square root, inverse square root) and the
-    fastest attainable decay data are computed once here, so instances are
+    case) with no subnormal variance, whose inverse would overflow;
+    :meth:`from_eigen` builds one from a prescribed eigenbasis.  All derived
+    matrices (inverse, square root, inverse square root) and the fastest
+    attainable decay data are computed once here, so instances are
     immutable and cheap to share between threads.
 
     Attributes
@@ -64,6 +65,9 @@ class Covariance:
         w, v = np.linalg.eigh(m)
         if w[0] <= 0.0:
             raise NotPSD("covariance must be positive definite")
+        if w[0] < np.finfo(float).tiny:
+            raise NotPSD(f"covariance has a subnormal variance {w[0]:.3g}, "
+                         "whose inverse overflows")
         self.matrix = m
         self.matrix.flags.writeable = False
         self.dim = int(m.shape[0])

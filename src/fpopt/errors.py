@@ -29,6 +29,12 @@ class InvalidConstant(FpoptError):
     """A multiplicative envelope constant must be strictly greater than 1."""
 
 
+class InvalidArgument(FpoptError, ValueError):
+    """A rate, horizon or grid size is not a usable value: a rate or
+    horizon that is not positive and finite, or a grid size that is not an
+    integer of at least 2 or does not fit in memory."""
+
+
 class InvalidInterval(FpoptError):
     """A decay curve or envelope was requested on a horizon too long for the
     problem's time scale, or one over which the weighted propagator is not

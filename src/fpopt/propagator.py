@@ -27,6 +27,7 @@ import numpy as np
 from . import kernel
 from .equilibrium import CoefficientPair, Covariance, same_equilibrium, spectral_gap
 from .errors import (
+    InvalidArgument,
     InvalidInterval,
     MixedEquilibria,
     NotApplicable2D,
@@ -175,6 +176,13 @@ class _Flow:
             out[hit] = m
         return out
 
+    def check_horizon(self, horizon: float, name: str) -> None:
+        """Refuse an infinite ``horizon``, or one beyond ``cap``, by name."""
+        if not horizon < np.inf or horizon > self.cap:
+            raise InvalidInterval(
+                f"{name} {horizon:.6g} exceeds {self.cap:.6g}, the longest horizon "
+                "this problem's time scale allows (1 / (eps ||C~ - rate I||_F))")
+
     def log_norms(self, times: np.ndarray, horizon: float, name: str, slopes: bool = False):
         """``log ||M(t)||`` for a 1-D array of times in ``[0, horizon]``,
         and with ``slopes`` also its time derivative ``-u^T (C~ - shift I) u``.
@@ -182,16 +190,13 @@ class _Flow:
         ``u`` is the top left singular vector of ``M(t)``.  At a switch time
         the slope is the right derivative, and where the top two singular
         values cross it is the slope of the branch that
-        :func:`_log_top_singular` picks.  Refuses a ``horizon`` beyond
-        ``cap``, and a weighted propagator that is not finite (scaling and
-        squaring on a nearly defective drift can overflow below the cap),
-        with :class:`InvalidInterval` naming the horizon ``name``, not a
-        warning.
+        :func:`_log_top_singular` picks.  Refuses a ``horizon`` as
+        :meth:`check_horizon` does, and a weighted propagator that is not
+        finite (scaling and squaring on a nearly defective drift can
+        overflow below the cap), with :class:`InvalidInterval` naming the
+        horizon ``name``, not a warning.
         """
-        if horizon > self.cap:
-            raise InvalidInterval(
-                f"{name} {horizon:.6g} exceeds {self.cap:.6g}, the longest horizon "
-                "this problem's time scale allows (1 / (eps ||C~ - rate I||_F))")
+        self.check_horizon(horizon, name)
         segment = np.searchsorted(self.starts[1:], times, side="right")
         logs = np.empty(len(times))
         grads = np.empty(len(times)) if slopes else None
@@ -384,16 +389,16 @@ class NormCurve:
 
 
 def norm_curve(source: Union[Schedule, CoefficientPair], t_max: Optional[float] = None,
-               samples: int = DEFAULT_SAMPLES, rate: Optional[float] = None) -> NormCurve:
+               samples: Optional[int] = None, rate: Optional[float] = None) -> NormCurve:
     """Sample the propagator norm on ``[0, t_max]`` with its sharp envelope.
 
-    The grid is uniform with ``samples`` points plus the schedule's interior
-    switch times.  The envelope rate is ``rate``, by default the spectral
-    gap of the final pair.  Its constant is computed as by
-    :func:`sharp_constant` (exact for the periodic 2D curves, a lower bound
-    in higher dimension), and the first tangency point, if it falls inside
-    ``[0, t_max]`` and not within rounding of a switch time, is added to
-    the grid.
+    The grid is uniform with ``samples`` points, by default
+    ``DEFAULT_SAMPLES``, plus the schedule's interior switch times.  The
+    envelope rate is ``rate``, by default the spectral gap of the final
+    pair.  Its constant is computed as by :func:`sharp_constant` (exact for
+    the periodic 2D curves, a lower bound in higher dimension), and the
+    first tangency point, if it falls inside ``[0, t_max]`` and not within
+    rounding of a switch time, is added to the grid.
 
     Every grid point is evaluated once.  The curve reuses the envelope
     scan's values at every time the scan evaluated, its grid and its
@@ -407,24 +412,32 @@ def norm_curve(source: Union[Schedule, CoefficientPair], t_max: Optional[float] 
 
     Raises
     ------
-    ValueError
-        If ``t_max`` is not positive and finite, or ``samples`` is below 2.
+    InvalidArgument
+        A ``ValueError`` too: ``rate`` or ``t_max`` is not positive and
+        finite, or ``samples`` is not an integer >= 2 or a grid numpy can
+        allocate.
     RateTooLarge
         As :func:`sharp_constant`; with the default rate, when the final
         pair's boundary eigenvalue is defective.
     InvalidInterval
-        If ``t_max`` exceeds the cap of the problem's time scale
-        (:class:`_Flow`), or the weighted propagator is not finite up to it.
+        If ``t_max`` or the scan's horizon exceeds the cap of the problem's
+        time scale (:class:`_Flow`), or the weighted propagator is not
+        finite up to it.
     """
     schedule = _as_schedule(source)
     if t_max is not None and not 0.0 < t_max < np.inf:
-        raise ValueError("t_max must be positive and finite")
-    if samples < 2:
-        raise ValueError("need at least two samples")
+        raise InvalidArgument("t_max must be positive and finite")
+    samples = DEFAULT_SAMPLES if samples is None else samples
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise InvalidArgument(f"samples must be an integer >= 2, got {samples!r}")
     rate = float(spectral_gap(schedule.asymptotic_pair) if rate is None else rate)
     scan = _scan_envelope(schedule, rate)
-    t_max = scan.horizon if t_max is None else t_max
-    grid = np.linspace(0.0, float(t_max), int(samples))
+    t_max = scan.horizon if t_max is None else float(t_max)
+    try:
+        grid = np.linspace(0.0, t_max, samples)
+    except (ValueError, IndexError, MemoryError):   # numpy's refusals, by size
+        raise InvalidArgument(f"samples {samples} is too large: numpy cannot "
+                              "allocate a grid of that many points") from None
     extra = [s for s in schedule.switch_times if 0.0 < s < t_max]
     if 0.0 < scan.first_t < t_max and not any(
             abs(scan.first_t - s) <= _REFINE_RTOL * scan.first_t for s in extra):
@@ -509,7 +522,7 @@ def _refine_peaks(flow: _Flow, grid: np.ndarray, values: np.ndarray, centres: np
 
 def _scan_envelope(schedule: Schedule, rate: float) -> _ScanResult:
     if not 0.0 < rate < np.inf:
-        raise ValueError("rate must be positive and finite")
+        raise InvalidArgument("rate must be positive and finite")
     # A rate beyond the asymptotic decay of the schedule makes the weighted
     # curve diverge, so its supremum does not exist.  The asymptotic decay
     # rate is the spectral gap of the final pair (the curves here are not
@@ -520,12 +533,13 @@ def _scan_envelope(schedule: Schedule, rate: float) -> _ScanResult:
         raise RateTooLarge(
             f"rate {rate:.6g} exceeds the asymptotic decay {gap:.6g} of the schedule")
     last_switch = schedule.switch_times[-1] if schedule.switch_times else 0.0
-    horizon = max(20.0 / rate, 4.0 * last_switch)
+    horizon = max(20.0 / rate, 4.0 * last_switch)   # inf for a rate near underflow
+    # weighted at the rate, the flow's log norms are log(exp(rate t) ||T||)
+    flow = _Flow(schedule, shift=rate)
+    flow.check_horizon(horizon, "envelope horizon")
     grid = np.linspace(0.0, horizon, DEFAULT_SAMPLES)
     if schedule.switch_times:   # all of them lie within the horizon
         grid = np.unique(np.concatenate((grid, schedule.switch_times)))
-    # weighted at the rate, the flow's log norms are log(exp(rate t) ||T||)
-    flow = _Flow(schedule, shift=rate)
     logg = flow.log_norms(grid, horizon, "envelope horizon")
 
     # Genuine local maxima only: a rise below the noise floor of the log
@@ -579,6 +593,8 @@ def sharp_constant(source: Union[Schedule, CoefficientPair], rate: float) -> flo
 
     Raises
     ------
+    InvalidArgument
+        If the rate is not positive and finite.
     RateTooLarge
         If the rate exceeds the asymptotic decay of the schedule (the
         spectral gap of its final pair), or the weighted curve keeps

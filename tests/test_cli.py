@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from fpopt import CoefficientPair, Covariance, construct_optimal, sharp_constant, validate_pair
+from fpopt import (CoefficientPair, Covariance, construct_optimal, sharp_constant,
+                   tangency_time, validate_pair)
 from fpopt import cli
+from fpopt.benchmarks import rotating_pair
 from fpopt.cli import main
 
 EPS = 0.05
@@ -32,6 +34,15 @@ def rotating_matrices(mu):
 
 def anisotropic_doc(extra):
     return {"K": {"diag": [1.0 / EPS, 1.0]}, **extra}
+
+
+def run_strict(*argv):
+    """Run the CLI in a fresh interpreter with RuntimeWarnings as errors."""
+    import fpopt
+
+    src = os.path.dirname(os.path.dirname(fpopt.__file__))
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "fpopt", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
 
 
 def test_in_process_calls_share_one_parser(tmp_path, capsys, monkeypatch):
@@ -402,21 +413,55 @@ def test_curve_horizon_beyond_the_time_scale_exit_2(tmp_path, capsys, flags, doc
 def test_near_defective_segment_overflow_exit_2(tmp_path):
     # scaling and squaring on mu = 1 + 1e-9 overflows long before the cap of
     # about 2.25e15: refused naming the horizon, with no warning on the way
-    import fpopt
-
     doc = anisotropic_doc({"schedule": [{"pair": rotating_matrices(1.0 + 1e-9), "duration": 1e11},
                                         {"pair": rotating_matrices(7.0)}]})
     path = write_json(tmp_path / "p.json", doc)
-    src = os.path.dirname(os.path.dirname(fpopt.__file__))
     for argv in (["curve", path, "--samples", "50", "--tmax", "10"],
                  ["compare", path, "--rate", "1"]):
-        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "fpopt",
-                               *argv], env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True)
+        done = run_strict(*argv)
         assert done.returncode == 2, argv
         assert not done.stdout
         assert done.stderr.startswith("fpopt: envelope horizon 4e+11 ")
         assert done.stderr.count("\n") == 1
+
+
+def test_rate_whose_envelope_horizon_overflows_exit_2(tmp_path):
+    # 20 / 1e-320 is inf: refused against the cap before the scan's grid is
+    # built, so no RuntimeWarning comes first
+    path = write_json(tmp_path / "p.json", CONSTRUCTED)
+    for argv in (["curve", path, "--rate", "1e-320"], ["compare", path, "--rate", "1e-320"]):
+        done = run_strict(*argv)
+        assert done.returncode == 2, argv
+        assert not done.stdout
+        assert done.stderr.startswith("fpopt: envelope horizon inf exceeds ")
+        assert done.stderr.count("\n") == 1
+
+
+def test_subnormal_variance_exit_2(tmp_path):
+    # 1 / 1e-320 overflows: the covariance refuses it before inverting it
+    doc = {**CONSTRUCTED, "K": {"diag": [1e-320, 1.0]}, "c": 1.5}
+    path = write_json(tmp_path / "p.json", doc)
+    for argv in (["optimize", path], ["curve", path]):
+        done = run_strict(*argv)
+        assert done.returncode == 2, argv
+        assert not done.stdout
+        assert done.stderr.startswith("fpopt: covariance has a subnormal variance 1e-320")
+        assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags, analysis", [
+    (("--samples", str(10**19)), None),
+    (("--samples", str(2**62)), None),
+    ((), {"samples": 10**20}),
+], ids=["flag-1e19", "flag-2**62", "analysis-1e20"])
+def test_curve_grid_size_beyond_memory_exit_2(tmp_path, capsys, flags, analysis):
+    # numpy refuses these grids before it allocates anything
+    doc = {**CONSTRUCTED, **({"analysis": analysis} if analysis else {})}
+    code, out, err = run(capsys, "curve", write_json(tmp_path / "p.json", doc), *flags)
+    assert code == 2
+    assert not out
+    assert err.startswith("fpopt: samples ") and " is too large" in err
+    assert err.count("\n") == 1
 
 
 def test_curve_bad_grid_size_exit_2(tmp_path, capsys):
@@ -482,13 +527,8 @@ def test_compare_nonpositive_rate_exit_2(tmp_path, capsys):
 
 
 def test_compare_at_a_slow_rate_warns_nothing(tmp_path):
-    import fpopt
-
     path = write_json(tmp_path / "a.json", anisotropic_doc({"pair": rotating_matrices(7.0)}))
-    src = os.path.dirname(os.path.dirname(fpopt.__file__))
-    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "fpopt",
-                           "compare", path, "--rate", "0.01"],
-                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    done = run_strict("compare", path, "--rate", "0.01")
     assert done.returncode == 0
     assert not done.stderr
     row = done.stdout.strip().split("\n")[1].split("\t")
@@ -564,11 +604,13 @@ def test_reproduce_fig4_manifest_switch_times(tmp_path, capsys):
     _, manifest = reproduce(capsys, tmp_path, "fig4")
     switches = manifest["switch_times"]
     assert switches["fp5"] == pytest.approx(0.1434, abs=1e-3)
-    assert switches["fp6"] == 0.11413
+    # fp6 switches at its own first tangency, taken as fp5's is
+    assert switches["fp6"] == tangency_time(rotating_pair(13.8), 1.0)
+    assert switches["fp6"] == pytest.approx(0.11413, abs=1e-5)
 
 
 def test_reproduce_bad_grid_size_exit_2(tmp_path, capsys):
-    for value in ("1", "0"):
+    for value in ("1", "0", str(10**19)):
         outdir = tmp_path / f"fig1_{value}"
         code, _, err = run(capsys, "reproduce", "fig1", "--outdir", str(outdir),
                            "--samples", value)

@@ -23,12 +23,13 @@ junk = st.recursive(
     | st.dictionaries(st.sampled_from(["diag", "C", "D", "c", "x"]), inner, max_size=2),
     max_leaves=6)
 
-number = st.one_of(st.sampled_from([1.5, 2.0, 3.0, 1.0, 0.5, 0.0, -1.0, 1e-300, 1e300]),
+number = st.one_of(st.sampled_from([1.5, 2.0, 3.0, 1.0, 0.5, 0.0, -1.0, 1e-300, 1e-320, 1e300]),
                    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3), junk)
 
 matrix = st.one_of(
     st.sampled_from([
         {"diag": [1.0, 2.0]}, {"diag": [20.0, 1.0]}, {"diag": "ab"}, {"diag": [1e-300, 1.0]},
+        {"diag": [1e-320, 1.0]},
         [[1.0, 0.0], [0.0, 2.0]], [[1.0, 0.5], [0.5, 2.0]], [[1.0, 2.0], [3.0, 4.0]],
         [[1, 0], [0]], [[0.0, -7.0], [0.3, 2.0]], {"diag": [0.0, 2.0]}, {"diag": [-1.0, 2.0]},
         [1.0, 2.0], [1.0, 2.0, 3.0], [[1.0]], [],

@@ -65,6 +65,17 @@ def test_covariance_rejects_indefinite():
         Covariance(np.diag([1.0, 0.0]))
 
 
+def test_covariance_rejects_a_subnormal_variance_before_inverting_it():
+    # 1 / 1e-320 overflows; refused with no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for variances in ([1e-320, 1.0], [1.0, 2.0, 5e-324]):
+            with pytest.raises(NotPSD, match="subnormal variance"):
+                Covariance(np.array(variances))
+    # the smallest normal double still has a finite inverse
+    assert Covariance(np.array([np.finfo(float).tiny, 1.0])).fastest_rate < np.inf
+
+
 def test_covariance_direction_sign_deterministic():
     cov = Covariance(np.array([20.0, 1.0]))
     assert np.array_equal(cov.fastest_direction, np.array([0.0, 1.0]))

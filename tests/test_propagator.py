@@ -14,6 +14,8 @@ import pytest
 from fpopt import (
     CoefficientPair,
     Covariance,
+    FpoptError,
+    InvalidArgument,
     InvalidInterval,
     MixedEquilibria,
     NormCurve,
@@ -606,6 +608,45 @@ def test_norm_curve_rate_must_be_positive_and_finite():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="t_max must be positive and finite"):
             norm_curve(balanced, np.inf, 4)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"samples": 2.5}, "samples must be an integer"),
+    ({"samples": True}, "samples must be an integer"),
+    ({"samples": "64"}, "samples must be an integer"),
+    ({"samples": 1}, "samples must be an integer"),
+    ({"samples": 10**19}, "samples 10000000000000000000 is too large"),
+    ({"samples": 2**62}, "is too large"),
+    ({"samples": 2**63 - 1}, "is too large"),   # numpy's linspace fails with an IndexError
+    ({"rate": 0.0}, "rate must be positive"),
+    ({"rate": np.nan}, "rate must be positive"),
+    ({"t_max": -1.0}, "t_max must be positive"),
+], ids=["float", "bool", "str", "one", "1e19", "2**62", "2**63-1", "rate-0", "rate-nan",
+        "tmax-neg"])
+def test_norm_curve_refuses_a_bad_rate_horizon_or_grid_size(kwargs, message):
+    # one error class, a ValueError too, that the CLI maps to exit 2
+    assert issubclass(InvalidArgument, FpoptError) and issubclass(InvalidArgument, ValueError)
+    with pytest.raises(InvalidArgument, match=message):
+        norm_curve(rotating_pair(7.0), **{"t_max": 8.0, **kwargs})
+
+
+def test_norm_curve_grid_size_defaults_and_takes_numpy_integers():
+    pair = rotating_pair(7.0)
+    default = norm_curve(pair, 8.0)
+    assert np.array_equal(default.times, norm_curve(pair, 8.0, None).times)
+    assert np.array_equal(default.times, norm_curve(pair, 8.0, propagator.DEFAULT_SAMPLES).times)
+    assert np.array_equal(norm_curve(pair, 8.0, np.int64(16)).times,
+                          norm_curve(pair, 8.0, 16).times)
+
+
+def test_scan_refuses_a_horizon_that_overflows_before_building_its_grid():
+    # 20 / 1e-320 is inf: refused against the flow's cap, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for query in (sharp_constant, tangency_time,
+                      lambda pair, rate: norm_curve(pair, rate=rate)):
+            with pytest.raises(InvalidInterval, match="envelope horizon inf exceeds"):
+                query(rotating_pair(7.0), 1e-320)
 
 
 @pytest.mark.parametrize("dim", [2, 8, 16])
