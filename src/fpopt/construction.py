@@ -35,7 +35,7 @@ import numpy as np
 
 from . import kernel
 from .equilibrium import CoefficientPair, Covariance
-from .errors import InvalidConstant
+from .errors import InvalidConstant, InvalidMatrix
 
 #: Relative spread of the covariance spectrum below which the equilibrium
 #: counts as isotropic and the symmetric pair (K^{-1}, I) is already optimal.
@@ -228,13 +228,20 @@ def construct_optimal(covariance: Covariance, budget: float,
             weights=None, Q=eye, P=eye.copy(),
             budget=budget, constant=1.0, rate=rate, variant=variant)
 
+    weights = arithmetic_weights(d, budget)
+    # The whitened skew's entries reach 2 w_d rate, and sums of d of them
+    # are formed; refuse a rate at which that overflows, before any array
+    # does (this product of Python floats gives inf, not a warning).
+    if 4.0 * d * float(weights[-1]) * rate == np.inf:
+        raise InvalidMatrix(
+            f"smallest variance {covariance.variances[0]:.3g} is too small for budget "
+            f"{budget:g} in dimension {d}: the whitened pair overflows")
     direction = covariance.fastest_direction
     diffusion = float(d) * np.outer(direction, direction)
     # Whitening maps the rank-one diffusion to rate * diffusion exactly,
     # because its range is the eigenspace the rate comes from.
     whitened_diffusion = rate * diffusion
     basis = equidistribute_basis(whitened_diffusion)
-    weights = arithmetic_weights(d, budget)
     coupling = skew_coupling(basis, weights, whitened_diffusion)
     whitened_skew = basis @ coupling @ basis.T
     if variant == "transpose":

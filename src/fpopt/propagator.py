@@ -16,9 +16,9 @@ initial decay rates, and the pair of maximum initial decay.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -139,8 +139,8 @@ class _Flow:
     equal to ``shift I`` has no time scale and no cap.
 
     For ``d > 2`` a call of two or more chunks runs on every CPU (see
-    :class:`_Split`): the calling thread takes the first contiguous share of
-    the chunks and the split's worker threads the others, each writing its
+    :func:`_run_shares`): the calling thread takes the first contiguous
+    share of the chunks and worker threads the others, each writing its
     own slices of the output.  A chunk's values do not depend on the thread
     that computes them, so the result is the serial loop's bit for bit.
     The chunks then hold ``_CHUNK_ELEMENTS`` entries over all threads, not
@@ -200,8 +200,9 @@ class _Flow:
         segment = np.searchsorted(self.starts[1:], times, side="right")
         logs = np.empty(len(times))
         grads = np.empty(len(times)) if slopes else None
-        split = _splitter() if self.dim > 2 else None
-        step = max(1, _CHUNK_ELEMENTS // ((split.threads if split else 1) * self.dim**2))
+        plan = _share_plan() if self.dim > 2 else None
+        threads = plan[0] if plan else 1
+        step = max(1, _CHUNK_ELEMENTS // (threads * self.dim**2))
         chunks = range(0, len(times), step)
 
         def fill(share):
@@ -213,68 +214,14 @@ class _Flow:
                     if slopes:
                         grads[part] = -np.einsum("ni,nij,nj->n", u, self.drifts[segment[part]], u)
 
-        if split and len(chunks) > 1:
-            split.run(fill, np.array_split(chunks, min(split.threads, len(chunks))))
+        if plan and len(chunks) > 1:
+            _run_shares(fill, np.array_split(chunks, min(threads, len(chunks))), plan[1])
         else:
             fill(chunks)
         if not (logs < np.inf).all():   # nan or +inf; -inf is a norm underflowed to 0
             raise InvalidInterval(f"{name} {horizon:.6g} is too long for this problem: "
                                   "the weighted propagator is not finite within it")
         return (logs, grads) if slopes else logs
-
-
-class _Split:
-    """Worker threads that share out the chunks of a ``d > 2`` flow evaluation.
-
-    ``threads`` counts the evaluating threads: the caller and one pool
-    worker per further CPU.  They only gain if each runs OpenBLAS on one
-    thread; with its default pool, OpenBLAS's own threads spin between
-    calls and the evaluating threads wait for each other.  The limit is
-    ``openblas_set_num_threads_local`` of the OpenBLAS that numpy loaded.
-    Despite its name it sets the process-wide count in OpenBLAS's pthreads
-    builds, which numpy's wheels are.  So :meth:`run` holds it at one thread
-    while any split call is under way, and the last call to finish puts
-    back the count that the first one found.
-    """
-
-    def __init__(self, threads: int, set_blas_threads):
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.threads = threads
-        self.pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="fpopt-flow")
-        self.set_blas_threads = set_blas_threads
-        self.lock = threading.Lock()
-        self.holders = 0      # split calls under way
-        self.saved = 0        # the BLAS thread count the first of them found
-
-    @contextmanager
-    def one_blas_thread(self):
-        with self.lock:
-            if not self.holders:
-                self.saved = self.set_blas_threads(1)
-            self.holders += 1
-        try:
-            yield
-        finally:
-            with self.lock:
-                self.holders -= 1
-                if not self.holders:
-                    self.set_blas_threads(self.saved)
-
-    def run(self, work, shares):
-        """Call ``work(share)`` for each share, the first in this thread and
-        the others on the pool.  Returns once all have finished, re-raising
-        the first failure: this thread's, else the earliest share's."""
-        from concurrent.futures import wait
-
-        with self.one_blas_thread():
-            futures = [self.pool.submit(work, share) for share in shares[1:]]
-            try:
-                work(shares[0])
-            finally:
-                wait(futures)
-        for future in futures:
-            future.result()
 
 
 def _openblas_thread_limit():
@@ -295,34 +242,65 @@ def _openblas_thread_limit():
     return function
 
 
-#: The :class:`_Split`, built on first use; ``False`` where it cannot run
-#: (one CPU, or no thread limit found), ``None`` before the first use.
-_split = None
-_split_lock = threading.Lock()
+@functools.cache
+def _share_plan():
+    """``(threads, set_blas_threads)`` for sharing out a ``d > 2`` flow
+    evaluation, or ``None`` where it runs serially (one CPU, or no thread
+    limit found).  ``threads`` counts the evaluating threads: the caller and
+    one worker per further CPU.  They only gain if each runs OpenBLAS on one
+    thread; with its default pool, OpenBLAS's own threads spin between calls
+    and the evaluating threads wait for each other."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    limit = _openblas_thread_limit() if cpus > 1 else None
+    return (cpus, limit) if limit else None
 
 
-def _splitter():
-    global _split
-    with _split_lock:
-        if _split is None:
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-            limit = _openblas_thread_limit() if cpus > 1 else None
-            _split = _Split(cpus, limit) if limit else False
-    return _split
-
-
-def _forget_split():
-    """In a forked child: the pool's threads did not survive the fork, so
-    the next split call builds a new one, and a hold taken by a call in
-    another thread of the parent is released."""
-    global _split, _split_lock
-    if _split and _split.holders:
-        _split.set_blas_threads(_split.saved)
-    _split, _split_lock = None, threading.Lock()
-
-
+#: Held by a shared evaluation from start to end, and across a fork.  The
+#: OpenBLAS thread limit sets the process-wide count in the pthreads builds
+#: of numpy's wheels, despite its name, so shared evaluations run one at a
+#: time, and a fork waits for the one under way: a child never inherits a
+#: lowered count or a worker thread that did not survive the fork.
+_share_lock = threading.Lock()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_split)
+    os.register_at_fork(before=_share_lock.acquire, after_in_parent=_share_lock.release,
+                        after_in_child=_share_lock.release)
+
+
+def _run_shares(work, shares, set_blas_threads):
+    """Call ``work(share)`` for each share, the first in this thread and
+    each other on a thread of its own, with OpenBLAS held at one thread.
+    Returns once all have finished and the count is restored, re-raising
+    the first failure: this thread's, else the earliest share's.
+
+    The threads live for this call only.  They are plain threads, not a
+    ``concurrent.futures`` pool: its ``submit`` takes a lock that the
+    pool's own fork hook holds while this module's hook waits for
+    ``_share_lock``, so a fork between two submits would deadlock.
+    """
+    failures = [None] * len(shares)
+
+    def run(i):
+        try:
+            work(shares[i])
+        except BaseException as exc:   # re-raised below, in the calling thread
+            failures[i] = exc
+
+    workers = [threading.Thread(target=run, args=(i,), name=f"fpopt-flow_{i}")
+               for i in range(1, len(shares))]
+    with _share_lock:
+        before = set_blas_threads(1)
+        try:
+            for worker in workers:
+                worker.start()
+            run(0)
+        finally:
+            for worker in workers:
+                if worker.ident is not None:   # started
+                    worker.join()
+            set_blas_threads(before)
+    for failure in failures:
+        if failure is not None:
+            raise failure
 
 
 def _log_top_singular(m: np.ndarray, left_vectors: bool = False):
@@ -368,10 +346,11 @@ class NormCurve:
     :func:`sharp_constant` at ``rate``: exact for the periodic 2D curves, a
     lower bound in higher dimension.  The grid contains the first refined
     tangency point whenever it falls inside the horizon, so the envelope
-    touches the curve on the grid itself.  A tangency point within rounding
-    (``_REFINE_RTOL`` relative) of a switch time, as on a schedule switched
-    at its first pair's tangency, is not added: the switch time stands in
-    for it, and the grid holds no two points an ulp apart.
+    touches the curve on the grid itself.  A tangency point is not added
+    when a switch time at or before it (up to ``_REFINE_RTOL`` relative)
+    ties the supremum within ``_REFINE_RTOL``, as on a schedule switched at
+    its first pair's tangency: the switch time stands in for it, and the
+    grid holds no two points a rounding apart.
     """
 
     times: np.ndarray
@@ -397,8 +376,8 @@ def norm_curve(source: Union[Schedule, CoefficientPair], t_max: Optional[float] 
     envelope rate is ``rate``, by default the spectral gap of the final
     pair.  Its constant is computed as by :func:`sharp_constant` (exact for
     the periodic 2D curves, a lower bound in higher dimension), and the
-    first tangency point, if it falls inside ``[0, t_max]`` and not within
-    rounding of a switch time, is added to the grid.
+    first tangency point, if it falls inside ``[0, t_max]`` and no switch
+    time at or before it ties the supremum, is added to the grid.
 
     Every grid point is evaluated once.  The curve reuses the envelope
     scan's values at every time the scan evaluated, its grid and its
@@ -439,8 +418,12 @@ def norm_curve(source: Union[Schedule, CoefficientPair], t_max: Optional[float] 
         raise InvalidArgument(f"samples {samples} is too large: numpy cannot "
                               "allocate a grid of that many points") from None
     extra = [s for s in schedule.switch_times if 0.0 < s < t_max]
-    if 0.0 < scan.first_t < t_max and not any(
-            abs(scan.first_t - s) <= _REFINE_RTOL * scan.first_t for s in extra):
+    # a switch at or before the tangency (up to rounding) whose scan value
+    # ties the supremum already puts the envelope's touch on the grid
+    tied = any(s <= scan.first_t * (1.0 + _REFINE_RTOL) and
+               scan.log_norms[np.searchsorted(scan.times, s)] >= scan.log_sup - _REFINE_RTOL
+               for s in extra)
+    if 0.0 < scan.first_t < t_max and not tied:
         extra.append(scan.first_t)
     if extra:
         grid = np.unique(np.concatenate((grid, np.asarray(extra))))

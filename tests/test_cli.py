@@ -449,6 +449,19 @@ def test_subnormal_variance_exit_2(tmp_path):
         assert done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("dim", [3, 4, 8])
+def test_tiny_normal_variance_exit_2(tmp_path, dim):
+    # 1 / 3e-308 is finite, but the whitened pair built on it overflows
+    doc = {**CONSTRUCTED, "K": {"diag": [3e-308] + [1.0] * (dim - 1)}, "c": 1.5}
+    path = write_json(tmp_path / "p.json", doc)
+    for argv in (["optimize", path], ["curve", path]):
+        done = run_strict(*argv)
+        assert done.returncode == 2, argv
+        assert not done.stdout
+        assert done.stderr.startswith("fpopt: smallest variance 3e-308 is too small")
+        assert done.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("flags, analysis", [
     (("--samples", str(10**19)), None),
     (("--samples", str(2**62)), None),
@@ -607,6 +620,18 @@ def test_reproduce_fig4_manifest_switch_times(tmp_path, capsys):
     # fp6 switches at its own first tangency, taken as fp5's is
     assert switches["fp6"] == tangency_time(rotating_pair(13.8), 1.0)
     assert switches["fp6"] == pytest.approx(0.11413, abs=1e-5)
+
+
+def test_reproduce_fig4_rows_stay_apart_and_touch_their_envelope(tmp_path, capsys):
+    # fp5 and fp6 switch at their first pair's tangency; the schedule's own
+    # refined tangency, a few ulps from the switch, adds no second row
+    _, manifest = reproduce(capsys, tmp_path, "fig4", 4096)
+    for entry in manifest["files"]:
+        if entry["role"] == "norm_curve":
+            rows = np.loadtxt(tmp_path / "fig4" / entry["file"], delimiter=",", skiprows=1)
+            assert np.diff(rows[:, 0]).min() > 1e-12, entry["file"]
+            touch = rows[:, 1] / rows[:, 2]
+            assert touch.max() == pytest.approx(1.0, rel=4 * np.finfo(float).eps)
 
 
 def test_reproduce_bad_grid_size_exit_2(tmp_path, capsys):

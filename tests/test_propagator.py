@@ -1,3 +1,4 @@
+import functools
 import importlib
 import io
 import multiprocessing
@@ -75,7 +76,8 @@ def test_schedule_validation():
         Schedule([pair, pair], [])
     with pytest.raises(ValueError):
         Schedule([pair, pair], [-0.1])
-    other = symmetric_pair(eps=0.1)
+    cov = Covariance([10.0, 1.0])   # another equilibrium
+    other = CoefficientPair(cov, cov.inv, np.eye(2))
     with pytest.raises(MixedEquilibria):
         Schedule([pair, other], [0.1])
 
@@ -372,20 +374,21 @@ def test_peak_refinement_matches_golden_section_and_mpmath(case):
 
 @pytest.fixture
 def split():
-    """The split of ``_Flow.log_norms`` across the CPUs, with OpenBLAS set
-    to 3 threads, a count no split call sets, so that a test can check that
-    its calls put the count back."""
-    split = propagator._splitter()
-    if not split:
+    """The plan that shares out ``_Flow.log_norms`` across the CPUs,
+    ``(threads, set_blas_threads)``, with OpenBLAS set to 3 threads, a
+    count no split call sets, so that a test can check that its calls put
+    the count back."""
+    plan = propagator._share_plan()
+    if not plan:
         pytest.skip("one CPU, or no OpenBLAS thread limit: log_norms runs serially")
-    before = split.set_blas_threads(3)
-    yield split
-    split.set_blas_threads(before)
+    before = plan[1](3)
+    yield plan
+    plan[1](before)
 
 
 def blas_threads(split):
-    count = split.set_blas_threads(1)
-    split.set_blas_threads(count)
+    count = split[1](1)
+    split[1](count)
     return count
 
 
@@ -398,18 +401,18 @@ def test_split_log_norms_equal_the_serial_loop(split, monkeypatch, dim):
     cert = constructed_pair(dim)
     flow = _Flow(Schedule.constant(cert.pair), shift=cert.rate)
     times = np.linspace(0.0, 20.0 / cert.rate, 3 * _CHUNK_ELEMENTS // dim**2 + 5)
-    shares, run = [], propagator._Split.run
+    shares, run = [], propagator._run_shares
 
-    def counted_run(self, work, parts):
+    def counted_run(work, parts, set_blas_threads):
         shares.append(len(parts))
-        return run(self, work, parts)
+        return run(work, parts, set_blas_threads)
 
-    monkeypatch.setattr(propagator._Split, "run", counted_run)
+    monkeypatch.setattr(propagator, "_run_shares", counted_run)
     logs, slopes = flow.log_norms(times, times[-1], "t_max", slopes=True)
     only_logs = flow.log_norms(times, times[-1], "t_max")
-    assert shares == [split.threads] * 2
-    assert blas_threads(split) == 3 and split.holders == 0
-    monkeypatch.setattr(propagator, "_split", False)
+    assert shares == [split[0]] * 2
+    assert blas_threads(split) == 3 and not propagator._share_lock.locked()
+    monkeypatch.setattr(propagator, "_share_plan", lambda: None)
     serial_logs, serial_slopes = flow.log_norms(times, times[-1], "t_max", slopes=True)
     assert np.array_equal(logs, serial_logs) and np.array_equal(slopes, serial_slopes)
     assert np.array_equal(only_logs, flow.log_norms(times, times[-1], "t_max"))
@@ -437,12 +440,12 @@ def test_split_raises_a_share_failure_once_every_share_is_done(split, monkeypatc
     time.sleep(0.1)
     assert any(caught.value is exc for exc in raised)   # re-raised as it was
     assert finished == len(calls) > 0                   # no share still running
-    assert blas_threads(split) == 3 and split.holders == 0
+    assert blas_threads(split) == 3 and not propagator._share_lock.locked()
 
 
 def test_user_threads_at_once_get_the_single_thread_curves(split, monkeypatch):
-    # more user threads than CPUs and frequent switches, so that the calls'
-    # holds on the BLAS thread count overlap in every order
+    # more user threads than CPUs and frequent switches, so that the calls
+    # contend for the split in every order
     cert = constructed_pair(16)
     users = 4
     barrier, curves, failures = threading.Barrier(users), [None] * users, []
@@ -465,8 +468,8 @@ def test_user_threads_at_once_get_the_single_thread_curves(split, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads) and not failures
-    assert blas_threads(split) == 3 and split.holders == 0
-    monkeypatch.setattr(propagator, "_split", False)
+    assert blas_threads(split) == 3 and not propagator._share_lock.locked()
+    monkeypatch.setattr(propagator, "_share_plan", lambda: None)
     serial = norm_curve(cert.pair, rate=cert.rate)
     for curve in curves:
         assert curve.sharp_constant == serial.sharp_constant
@@ -478,38 +481,85 @@ def test_user_threads_at_once_get_the_single_thread_curves(split, monkeypatch):
 def test_log_norms_run_serially_without_a_second_cpu_or_the_thread_limit(monkeypatch, missing):
     cert = constructed_pair(16)
     reference = norm_curve(cert.pair, rate=cert.rate)
-    monkeypatch.setattr(propagator, "_split", None)
+    # a fresh cache, which the monkeypatch drops again after the test
+    monkeypatch.setattr(propagator, "_share_plan",
+                        functools.cache(propagator._share_plan.__wrapped__))
     if missing == "second CPU":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     else:
         monkeypatch.setattr(propagator, "_openblas_thread_limit", lambda: None)
     curve = norm_curve(cert.pair, rate=cert.rate)
-    assert propagator._split is False
+    assert propagator._share_plan() is None
     assert curve.sharp_constant == reference.sharp_constant
     assert np.array_equal(curve.values, reference.values)
 
 
-def test_forked_child_evaluates_after_the_parent_split():
-    # the parent's pool threads do not survive a fork; the child must not
-    # queue its shares on them
-    pair = constructed_pair(16).pair
-    constant = norm_curve(pair).sharp_constant
+def fork_curve(pair, split=None):
+    """Fork a child that sends back its OpenBLAS thread count (with a
+    ``split`` plan) and its ``norm_curve`` of ``pair``; returns what it
+    sent, after a 60 s bound on the child."""
     context = multiprocessing.get_context("fork")
     receive, send = context.Pipe(duplex=False)
     child = context.Process(target=lambda: send.send(
-        (norm_curve(pair).sharp_constant, type(propagator._split).__name__)))
+        (split and blas_threads(split), norm_curve(pair), propagator._share_plan() is None)))
     child.start()
-    child.join(60)
-    if child.is_alive():
-        child.kill()
-        child.join()
-    assert child.exitcode == 0
-    assert receive.recv() == (constant, type(propagator._split).__name__)
+    try:   # read before joining: a curve fills the pipe's buffer
+        sent = receive.recv() if receive.poll(60) else None
+    finally:
+        child.join(60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0 and sent is not None
+    return sent
+
+
+def test_forked_child_evaluates_after_the_parent_split():
+    # the split's worker threads do not survive a fork; the child must
+    # evaluate on its own
+    pair = constructed_pair(16).pair
+    curve = norm_curve(pair)
+    _, child_curve, serial = fork_curve(pair)
+    assert child_curve.sharp_constant == curve.sharp_constant
+    assert serial == (propagator._share_plan() is None)
+
+
+def test_fork_waits_for_a_split_under_way(split, monkeypatch):
+    # one worker share blocks until a timer releases it, so the split is
+    # under way when the fork starts; the fork waits for it to end, and the
+    # child gets the count from before the split, not the split's one thread
+    pair = constructed_pair(16).pair
+    curve = norm_curve(pair)
+    flow = _Flow(Schedule.constant(pair))
+    times = np.linspace(0.0, 5.0, 4 * _CHUNK_ELEMENTS // 16**2)
+    eigvalsh, started, release = np.linalg.eigvalsh, threading.Event(), threading.Event()
+
+    def eigvalsh_held_in_a_worker(gram):
+        if threading.current_thread().name.startswith("fpopt-flow") and not release.is_set():
+            started.set()
+            release.wait(30)
+        return eigvalsh(gram)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_held_in_a_worker)
+    user = threading.Thread(target=flow.log_norms, args=(times, times[-1], "t_max"))
+    user.start()
+    try:
+        assert started.wait(30)
+        threading.Timer(0.2, release.set).start()
+        count, child_curve, _ = fork_curve(pair, split)
+    finally:
+        release.set()
+        user.join(60)
+    assert not user.is_alive()
+    assert count == 3
+    assert child_curve.sharp_constant == curve.sharp_constant
+    assert np.array_equal(child_curve.values, curve.values)
+    assert not propagator._share_lock.locked()
 
 
 def test_import_leaves_the_thread_pool_unloaded():
-    # concurrent.futures loads on the first split evaluation (ctypes, which
-    # the split also uses, is loaded by numpy itself)
+    # the split runs on plain threads (ctypes, which it also uses, is loaded
+    # by numpy itself)
     src = os.path.dirname(os.path.dirname(propagator.__file__))
     code = "import sys, fpopt.cli; print('concurrent.futures' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
@@ -1058,9 +1108,11 @@ def test_compare_schedules_single_entry():
 
 
 def test_compare_schedules_rejects_mixed_equilibria():
+    cov = Covariance([10.0, 1.0])   # another equilibrium
+    other = CoefficientPair(cov, cov.inv, np.eye(2))
     with pytest.raises(MixedEquilibria):
-        compare_schedules([Schedule.constant(rotating_pair(7.0)),
-                           Schedule.constant(symmetric_pair(eps=0.1))], 1.0, ["a", "b"])
+        compare_schedules([Schedule.constant(rotating_pair(7.0)), Schedule.constant(other)],
+                          1.0, ["a", "b"])
 
 
 def test_spectral_gap_of_rotating_pairs():
