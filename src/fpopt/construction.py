@@ -10,7 +10,9 @@ side:
    ``v`` of ``K^{-1}`` for the fastest rate, spending the whole trace
    budget.  Whitening scales it to ``D~ = r D``.
 2. Find an orthonormal basis in which ``D~`` has constant diagonal
-   ``Tr(D~)/d`` (Schur-Horn; a finite Givens sweep below), pick strictly
+   ``Tr(D~)/d``: as ``D~`` is rank one, any basis whose columns all have
+   overlap ``1/sqrt(d)`` with ``v`` will do, and two Householder
+   reflectors give one (:func:`equidistribute_basis`).  Pick strictly
    increasing positive weights ``w_1 < ... < w_d`` with ``w_d / w_1 = c^2``
    and couple the basis directions with the antisymmetric matrix whose
    (j, k) entry is ``(w_j + w_k) / (w_j - w_k) <psi_j, D~ psi_k>``.  This
@@ -35,80 +37,62 @@ import numpy as np
 
 from . import kernel
 from .equilibrium import CoefficientPair, Covariance
-from .errors import InvalidConstant, InvalidMatrix
+from .errors import InvalidArgument, InvalidConstant, InvalidMatrix
 
 #: Relative spread of the covariance spectrum below which the equilibrium
 #: counts as isotropic and the symmetric pair (K^{-1}, I) is already optimal.
 ISOTROPY_TOL = 1e-12
 
-#: Uniformity tolerance for the equidistributed diagonal, relative to
-#: the target.
-EQUIDIST_TOL = 1e-10
-
 #: The two members of the optimal family that :func:`construct_optimal` builds.
 VARIANTS = ("standard", "transpose")
 
 
-def equidistribute_basis(matrix) -> np.ndarray:
-    """Orthonormal basis, as matrix columns, in which a PSD matrix has
-    constant diagonal ``Tr(M)/d``.
+def _reflector(x: np.ndarray) -> np.ndarray:
+    """Householder reflector that swaps ``e_1`` and the unit vector ``x``;
+    the identity when ``x = e_1``."""
+    w = -x
+    # 1 - x_1, formed as |x_2..d|^2 / (1 + x_1) when x_1 > 0: the direct
+    # difference would leave H x off e_1 by the rounding of |x| over
+    # |e_1 - x|, and this form keeps H x = e_1 to rounding however close x
+    # lies to e_1.
+    w[0] = (x[1:] @ x[1:]) / (1.0 + x[0]) if x[0] > 0.0 else 1.0 - x[0]
+    h = np.eye(x.size)
+    if np.any(w):
+        w = np.ldexp(w, -kernel.binary_exponent(w))   # exact; w @ w cannot underflow
+        h -= (2.0 / (w @ w)) * np.outer(w, w)
+    return h
 
-    Constructive Schur-Horn sweep.  Working on ``A = Psi^T M Psi`` with
-    ``Psi`` starting at the identity, visit coordinates ``p = 0..d-2`` in
-    order.  If the diagonal entry at ``p`` is off the target
-    ``tau = Tr(M)/d``, pick the partner ``q > p`` whose diagonal lies
-    farthest on the opposite side of ``tau`` (the trace identity guarantees
-    one exists) and rotate in the (p, q) plane by the angle that pins entry
-    ``p`` to ``tau``; of the two solutions, the rotation of smaller
-    magnitude is used, the positive one on a tie.  Pinned coordinates are
-    never revisited, so the sweep ends after at most ``d - 1`` rotations.
+
+def equidistribute_basis(direction) -> np.ndarray:
+    """Orthonormal basis, as matrix columns, whose every column has overlap
+    ``1/sqrt(d)`` with the unit vector ``direction``.
+
+    In this basis the rank-one matrix ``v v^T`` has constant diagonal
+    ``1/d`` (the rank-one case of Schur-Horn).  The basis is
+    ``Psi = H(e_1 <-> v) H(e_1 <-> u)``, the product of two Householder
+    reflectors with ``u = (1, ..., 1) / sqrt(d)``, so ``Psi^T v = u`` up to
+    rounding.  Any other such basis is ``Q Psi Sigma`` with ``Q`` orthogonal,
+    ``Q v = v`` and ``Sigma`` a diagonal of signs, so the construction built
+    on it differs from this one by the similarity ``Q``, which moves no
+    spectrum, norm or envelope constant.
+
+    Raises :class:`InvalidArgument` unless ``direction`` is a finite real
+    1-D vector of length at least 2 with norm 1 to within 1e-12.
     """
-    a, _ = kernel.symmetric_psd(kernel.as_square(matrix), "matrix to equidistribute")
-    d = a.shape[0]
-    # Sweep a / scale, with scale the power of two that brings every entry
-    # below 1.  The division is exact, so the rotations are those of the
-    # unscaled sweep, but cb * cb - ca * cc below cannot overflow at large
-    # rates.  The tolerances are relative to tau, which for a PSD matrix is
-    # at least its largest entry over d, so they hold at any magnitude.
-    scale = np.ldexp(1.0, kernel.binary_exponent(a))
-    a = a / scale
-    tau = float(np.trace(a) / d)
-    psi = np.eye(d)
-    pin_tol = 1e-13 * abs(tau)
-    for p in range(d - 1):
-        gap = a[p, p] - tau
-        if abs(gap) <= pin_tol:
-            a[p, p] = tau
-            continue
-        opposite = [(abs(a[q, q] - tau), -q) for q in range(p + 1, d)
-                    if (a[q, q] - tau) * gap < 0.0]
-        if not opposite:
-            raise AssertionError("trace balance violated; no rotation partner found")
-        q = -max(opposite)[1]
-        # tan(theta) solves  x^2 (A_qq - tau) + 2 x A_pq + (A_pp - tau) = 0;
-        # opposite-side diagonals make the discriminant positive.
-        ca, cb, cc = a[q, q] - tau, a[p, q], gap
-        disc = np.sqrt(cb * cb - ca * cc)
-        shifted = -(cb + disc) if cb >= 0.0 else -(cb - disc)
-        roots = [shifted / ca, cc / shifted]
-        roots.sort(key=lambda x: (abs(x), -x))
-        x = roots[0]
-        c = 1.0 / np.sqrt(1.0 + x * x)
-        s = x * c
-        row_p = c * a[p, :] + s * a[q, :]
-        row_q = -s * a[p, :] + c * a[q, :]
-        a[p, :], a[q, :] = row_p, row_q
-        col_p = c * a[:, p] + s * a[:, q]
-        col_q = -s * a[:, p] + c * a[:, q]
-        a[:, p], a[:, q] = col_p, col_q
-        a[p, p] = tau
-        new_p = c * psi[:, p] + s * psi[:, q]
-        new_q = -s * psi[:, p] + c * psi[:, q]
-        psi[:, p], psi[:, q] = new_p, new_q
-    spread = float(np.abs(np.diag(a) - tau).max())
-    if spread > EQUIDIST_TOL * abs(tau):
-        raise AssertionError(f"sweep left diagonal spread {spread * scale:.3e}")
-    return psi
+    v = np.asarray(direction)
+    if v.dtype.kind not in "fiu" or v.ndim != 1 or v.size < 2:
+        raise InvalidArgument(
+            f"direction must be a real 1-D vector of length >= 2, got {v.dtype} "
+            f"of shape {v.shape}")
+    v = v.astype(float)
+    if not np.all(np.isfinite(v)):
+        raise InvalidArgument("direction entries must be finite")
+    with np.errstate(over="ignore"):   # a norm that overflows is refused below
+        norm = float(np.linalg.norm(v))
+    if not abs(norm - 1.0) <= 1e-12:
+        raise InvalidArgument(f"direction must have unit norm, got {norm!r}")
+    uniform = np.full(v.size, 1.0 / np.sqrt(v.size))
+    return _reflector(v) @ _reflector(uniform)
 
 
 def arithmetic_weights(dim: int, budget: float) -> np.ndarray:
@@ -163,7 +147,9 @@ class OptimalCertificate:
     ``P`` defines the weighted norm in which the whitened flow contracts
     exactly at ``rate``; ``Q = P^{-1}`` satisfies the Lyapunov identity with
     the whitened skew and diffusion.  ``basis`` holds the orthonormal
-    columns of :func:`equidistribute_basis`, the eigenvectors of both.
+    columns of :func:`equidistribute_basis` for ``direction``, the
+    eigenvectors of both; each has overlap ``1/sqrt(d)`` with
+    ``direction``.
     ``weights`` is the arithmetic ladder of :func:`arithmetic_weights` for
     ``budget``, the eigenvalues of ``Q`` (of ``P`` in the transposed
     variant), and ``constant = sqrt(kappa(P)) = sqrt(w[-1] / w[0])`` is the
@@ -241,7 +227,7 @@ def construct_optimal(covariance: Covariance, budget: float,
     # Whitening maps the rank-one diffusion to rate * diffusion exactly,
     # because its range is the eigenspace the rate comes from.
     whitened_diffusion = rate * diffusion
-    basis = equidistribute_basis(whitened_diffusion)
+    basis = equidistribute_basis(direction)
     coupling = skew_coupling(basis, weights, whitened_diffusion)
     whitened_skew = basis @ coupling @ basis.T
     if variant == "transpose":

@@ -30,9 +30,10 @@ class InvalidConstant(FpoptError):
 
 
 class InvalidArgument(FpoptError, ValueError):
-    """A rate, horizon or grid size is not a usable value: a rate or
-    horizon that is not positive and finite, or a grid size that is not an
-    integer of at least 2 or does not fit in memory."""
+    """A rate, horizon, grid size or direction is not a usable value: a
+    rate or horizon that is not positive and finite, a grid size that is
+    not an integer of at least 2 or does not fit in memory, or a direction
+    that is not a finite unit vector of length at least 2."""
 
 
 class InvalidInterval(FpoptError):

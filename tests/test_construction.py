@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from fpopt import (
+    CoefficientPair,
     Covariance,
+    InvalidArgument,
     InvalidConstant,
     arithmetic_weights,
     construct_optimal,
@@ -10,6 +12,7 @@ from fpopt import (
     expm,
     frobenius_bound,
     growth_study,
+    norm_curve,
     skew_coupling,
     validate_pair,
 )
@@ -18,14 +21,8 @@ from helpers import random_covariance
 
 # --------------------------------------------------- equidistributing basis
 
-def test_equidistribute_scalar_matrix_trivial():
-    basis = equidistribute_basis(3.0 * np.eye(4))
-    assert np.array_equal(basis, np.eye(4))
-    assert np.array_equal(np.diag(basis.T @ (3.0 * np.eye(4)) @ basis), np.full(4, 3.0))
-
-
 def test_equidistribute_2d_rank_deficient():
-    basis = equidistribute_basis(np.diag([2.0, 0.0]))
+    basis = equidistribute_basis([1.0, 0.0])
     diag = np.diag(basis.T @ np.diag([2.0, 0.0]) @ basis)
     assert np.abs(diag - 1.0).max() <= 1e-12
     # the basis projects equally onto the diffusion direction
@@ -33,39 +30,50 @@ def test_equidistribute_2d_rank_deficient():
     assert np.abs(overlaps**2 - 0.5).max() <= 1e-12
 
 
-def test_equidistribute_random_psd():
-    rng = np.random.default_rng(31)
-    g = rng.normal(size=(5, 5))
-    m = g @ g.T
-    basis = equidistribute_basis(m)
-    tau = np.trace(m) / 5.0
-    diag = np.diag(basis.T @ m @ basis)
-    assert np.abs(diag - tau).max() <= 1e-10 * max(tau, 1.0)
-    assert np.linalg.norm(basis.T @ basis - np.eye(5)) <= 1e-11
+def _edge_directions(dim):
+    e1 = np.eye(dim)[0]
+    uniform = np.full(dim, 1.0 / np.sqrt(dim))
+    rng = np.random.default_rng(dim)
+    randoms = [g / np.linalg.norm(g) for g in rng.normal(size=(4, dim))]
+    # one ulp from e_1: its first entry one ulp below 1, or a tail entry of
+    # one ulp of 1 (the norm still rounds to 1); and a tail whose square
+    # underflows
+    return [e1, -e1, uniform, -uniform, np.nextafter(e1, 0.0), e1 + 2.0**-52 * np.eye(dim)[1],
+            e1 + 1e-160 * np.eye(dim)[-1], *randoms]
 
 
-def test_equidistribute_is_scale_free():
-    # power-of-two rescaling is exact, so the sweep picks the same rotations
-    # at large magnitudes instead of overflowing its quadratic, and its
-    # tolerances are relative to the target, so at tiny magnitudes too
-    rng = np.random.default_rng(31)
-    g = rng.normal(size=(5, 5))
-    m = g @ g.T
-    base = equidistribute_basis(m)
-    base_diag = np.diag(base.T @ m @ base)
-    for k in (-900, -60, -20, 40, 900):
-        scaled_m = np.ldexp(m, k)
-        scaled = equidistribute_basis(scaled_m)
-        assert np.array_equal(scaled, base)
-        # the equalised diagonal scales exactly, and equals trace / d
-        diag = np.diag(scaled.T @ scaled_m @ scaled)
-        assert np.array_equal(diag, np.ldexp(base_diag, k))
-        assert np.trace(scaled_m) / 5 == np.ldexp(np.trace(m) / 5, k)
-        assert np.abs(diag / (np.trace(scaled_m) / 5) - 1.0).max() <= 1e-10
-    huge = np.diag([2e300, 0.0])
-    basis = equidistribute_basis(huge)
-    diag = np.diag(basis.T @ huge @ basis)
-    assert np.abs(diag / 1e300 - 1.0).max() <= 1e-12
+@pytest.mark.parametrize("dim", [2, 3, 8, 64])
+def test_equidistribute_edge_directions(dim):
+    eps = np.finfo(float).eps
+    for v in _edge_directions(dim):
+        basis = equidistribute_basis(v)
+        assert np.abs(basis.T @ basis - np.eye(dim)).max() <= 4.0 * eps * np.sqrt(dim)
+        assert np.abs(basis.T @ v - 1.0 / np.sqrt(dim)).max() <= 4.0 * eps * np.sqrt(dim)
+    # v = e_1 exactly leaves the first reflector out: the basis is the
+    # single, symmetric reflector that swaps e_1 and the uniform vector
+    basis = equidistribute_basis(np.eye(dim)[0])
+    assert np.array_equal(basis, basis.T)
+    assert np.linalg.det(basis) == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("direction", [
+    np.eye(2),                                   # not 1-D
+    np.array(1.0),                               # a scalar
+    [1.0],                                       # length 1
+    [True, False],                               # not a real vector
+    [1.0 + 0j, 0.0],
+    ["1", "0"],
+    [np.nan, 0.0],                               # not finite
+    [np.inf, 0.0],
+    [0.0, 0.0],                                  # not of unit norm
+    [1.0 + 1e-11, 0.0],
+    [0.6, 0.6],
+    [1e200, 1e200],                              # its norm overflows
+], ids=["2d", "scalar", "length1", "bool", "complex", "str", "nan", "inf", "zero",
+        "near_unit", "short_of_unit", "huge"])
+def test_equidistribute_refuses_bad_direction(direction):
+    with pytest.raises(InvalidArgument):
+        equidistribute_basis(direction)
 
 
 # ------------------------------------------------------------ weight ladders
@@ -99,17 +107,18 @@ def test_weights_validation():
 # ------------------------------------------------------------ skew coupling
 
 def test_skew_coupling_vanishes_for_scalar_diffusion():
-    basis = equidistribute_basis(2.0 * np.eye(3))
-    coupling = skew_coupling(basis, arithmetic_weights(3, 2.0), 2.0 * np.eye(3))
+    coupling = skew_coupling(np.eye(3), arithmetic_weights(3, 2.0), 2.0 * np.eye(3))
     assert np.abs(coupling).max() <= 1e-14
 
 
 def test_skew_coupling_2d_value():
     diffusion_w = np.diag([2.0, 0.0])
-    basis = equidistribute_basis(diffusion_w)
+    basis = equidistribute_basis([1.0, 0.0])
     weights = arithmetic_weights(2, np.sqrt(2.0))
     coupling = skew_coupling(basis, weights, diffusion_w)
-    assert np.abs(coupling - np.array([[0.0, 3.0], [-3.0, 0.0]])).max() <= 1e-12
+    # the skew itself, unlike its coordinates, does not depend on the basis
+    skew = basis @ coupling @ basis.T
+    assert np.abs(skew - np.array([[0.0, 3.0], [-3.0, 0.0]])).max() <= 1e-12
 
 
 def test_skew_coupling_rank_one_formula():
@@ -120,7 +129,7 @@ def test_skew_coupling_rank_one_formula():
     v /= np.linalg.norm(v)
     rate = 1.7
     diffusion_w = 4.0 * rate * np.outer(v, v)
-    basis = equidistribute_basis(diffusion_w)
+    basis = equidistribute_basis(v)
     w = arithmetic_weights(4, 1.4)
     coupling = skew_coupling(basis, w, diffusion_w)
     a = basis.T @ v
@@ -131,6 +140,32 @@ def test_skew_coupling_rank_one_formula():
             if j != k:
                 expected[j, k] = (w[j] + w[k]) / (w[j] - w[k]) * 4.0 * rate * a[j] * a[k]
     assert np.abs(coupling - expected).max() <= 1e-10
+
+
+def test_decay_does_not_depend_on_the_equidistributing_basis():
+    # Psi' = Psi Perm Sigma has the same overlaps up to sign, and equals
+    # Q Psi Sigma with Q = Psi Perm Psi^T orthogonal and Q v = v.  So Q
+    # fixes the diffusion, its coupling gives the skew Q J~ Q^T, and the
+    # whitened drift is Q C~ Q^T: the same norm curve and sharp constant.
+    rng = np.random.default_rng(34)
+    for d in (3, 5, 8):
+        cov = random_covariance(rng, d)
+        cert = construct_optimal(cov, 2.0)
+        pair = cert.pair
+        basis = cert.basis[:, rng.permutation(d)] * rng.choice([-1.0, 1.0], size=d)
+        coupling = skew_coupling(basis, cert.weights, pair.whitened_diffusion)
+        whitened_drift = pair.whitened_diffusion + basis @ coupling @ basis.T
+        other = CoefficientPair(cov, cov.unwhiten_drift(whitened_drift), pair.diffusion)
+        assert np.linalg.norm(other.whitened_drift - pair.whitened_drift) > 1e-3
+        # compared on the uniform grid: each curve adds its own tangency
+        # point, and the two differ by rounding
+        grid = np.linspace(0.0, 20.0 / cert.rate, 257)
+        curves = [norm_curve(p, grid[-1], grid.size, rate=cert.rate) for p in (pair, other)]
+        ours, theirs = (c.values[np.isin(c.times, grid)] for c in curves)
+        assert ours.size == theirs.size == grid.size
+        assert np.abs(theirs / ours - 1.0).max() <= 1e-12
+        # a curve's constant is sharp_constant's, bit for bit
+        assert curves[1].sharp_constant == pytest.approx(curves[0].sharp_constant, rel=1e-12)
 
 
 # ------------------------------------------------------- optimal construction
