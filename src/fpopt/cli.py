@@ -30,6 +30,7 @@ from .propagator import (
     DEFAULT_SAMPLES,
     NormCurve,
     Schedule,
+    _one_blas_thread,
     compare_schedules,
     norm_curve,
     sharp_constant,
@@ -266,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a command's matrices are too small for a second OpenBLAS thread
+        with _one_blas_thread():
+            return args.func(args)
     except (ProblemFormatError, OSError) as exc:
         return _fail(str(exc), EXIT_PARSE)
     except InvalidConstant as exc:

@@ -16,6 +16,7 @@ initial decay rates, and the pair of maximum initial decay.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import threading
@@ -144,8 +145,12 @@ class _Flow:
     own slices of the output.  A chunk's values do not depend on the thread
     that computes them, so the result is the serial loop's bit for bit.
     The chunks then hold ``_CHUNK_ELEMENTS`` entries over all threads, not
-    each.  With one CPU, or no thread limit in numpy's OpenBLAS, the chunks
-    run one after another in the calling thread.
+    each.  The split runs inside the one BLAS-thread hold
+    (:func:`_one_blas_thread`) that every command of :func:`fpopt.cli.main`
+    also takes: inside a command it re-enters the command's hold, and a
+    library call outside one takes the hold for the split alone.  With one
+    CPU, or no thread limit in numpy's OpenBLAS, the chunks run one after
+    another in the calling thread.
     """
 
     def __init__(self, schedule: Schedule, shift: float = 0.0):
@@ -200,8 +205,7 @@ class _Flow:
         segment = np.searchsorted(self.starts[1:], times, side="right")
         logs = np.empty(len(times))
         grads = np.empty(len(times)) if slopes else None
-        plan = _share_plan() if self.dim > 2 else None
-        threads = plan[0] if plan else 1
+        threads = (_share_plan() if self.dim > 2 else None) or 1
         step = max(1, _CHUNK_ELEMENTS // (threads * self.dim**2))
         chunks = range(0, len(times), step)
 
@@ -214,8 +218,8 @@ class _Flow:
                     if slopes:
                         grads[part] = -np.einsum("ni,nij,nj->n", u, self.drifts[segment[part]], u)
 
-        if plan and len(chunks) > 1:
-            _run_shares(fill, np.array_split(chunks, min(threads, len(chunks))), plan[1])
+        if threads > 1 and len(chunks) > 1:
+            _run_shares(fill, np.array_split(chunks, min(threads, len(chunks))))
         else:
             fill(chunks)
         if not (logs < np.inf).all():   # nan or +inf; -inf is a norm underflowed to 0
@@ -224,9 +228,11 @@ class _Flow:
         return (logs, grads) if slopes else logs
 
 
+@functools.cache
 def _openblas_thread_limit():
     """``openblas_set_num_threads_local`` of the OpenBLAS in numpy's wheel,
-    which sets the count and returns the previous one, or ``None``."""
+    which sets the count and returns the previous one, or ``None``.  Looked
+    up once per process."""
     import ctypes
     import glob
 
@@ -244,33 +250,56 @@ def _openblas_thread_limit():
 
 @functools.cache
 def _share_plan():
-    """``(threads, set_blas_threads)`` for sharing out a ``d > 2`` flow
-    evaluation, or ``None`` where it runs serially (one CPU, or no thread
-    limit found).  ``threads`` counts the evaluating threads: the caller and
-    one worker per further CPU.  They only gain if each runs OpenBLAS on one
-    thread; with its default pool, OpenBLAS's own threads spin between calls
-    and the evaluating threads wait for each other."""
+    """The number of threads that share out a ``d > 2`` flow evaluation,
+    or ``None`` where it runs serially (one CPU, or no thread limit found).
+    They are the caller and one worker per further CPU.  They only gain if
+    each runs OpenBLAS on one thread, which :func:`_run_shares` sees to;
+    with its default pool, OpenBLAS's own threads spin between calls and
+    the evaluating threads wait for each other."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    limit = _openblas_thread_limit() if cpus > 1 else None
-    return (cpus, limit) if limit else None
+    return cpus if cpus > 1 and _openblas_thread_limit() else None
 
 
-#: Held by a shared evaluation from start to end, and across a fork.  The
-#: OpenBLAS thread limit sets the process-wide count in the pthreads builds
-#: of numpy's wheels, despite its name, so shared evaluations run one at a
-#: time, and a fork waits for the one under way: a child never inherits a
-#: lowered count or a worker thread that did not survive the fork.
-_share_lock = threading.Lock()
+#: The one BLAS-thread hold (:func:`_one_blas_thread`), taken by every
+#: command of :func:`fpopt.cli.main` and by every split evaluation, which
+#: re-enters it inside a command.  The OpenBLAS thread limit sets the
+#: process-wide count in the pthreads builds of numpy's wheels, despite
+#: its name, so holders in different threads run one at a time.  A fork
+#: from another thread waits for the hold under way: the child never
+#: inherits a lowered count or a worker thread that did not survive the
+#: fork.  A fork made from inside a held command, by the holding thread,
+#: re-enters the hold instead, and the child inherits the count of one.
+_share_lock = threading.RLock()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(before=_share_lock.acquire, after_in_parent=_share_lock.release,
                         after_in_child=_share_lock.release)
 
 
-def _run_shares(work, shares, set_blas_threads):
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread, under ``_share_lock``, and restore the
+    count from before on the way out, whatever ends the block.  Reentrant:
+    an inner hold finds one thread and leaves one.  Does nothing where the
+    thread limit is missing.  Library callers outside a command keep their
+    BLAS pool, except inside a split evaluation."""
+    limit = _openblas_thread_limit()
+    if limit is None:
+        yield
+        return
+    with _share_lock:
+        before = limit(1)
+        try:
+            yield
+        finally:
+            limit(before)
+
+
+def _run_shares(work, shares):
     """Call ``work(share)`` for each share, the first in this thread and
-    each other on a thread of its own, with OpenBLAS held at one thread.
-    Returns once all have finished and the count is restored, re-raising
-    the first failure: this thread's, else the earliest share's.
+    each other on a thread of its own, inside the BLAS-thread hold
+    (:func:`_one_blas_thread`), which a command run by :func:`fpopt.cli.main`
+    already holds.  Returns once all have finished and the hold is left,
+    re-raising the first failure: this thread's, else the earliest share's.
 
     The threads live for this call only.  They are plain threads, not a
     ``concurrent.futures`` pool: its ``submit`` takes a lock that the
@@ -287,8 +316,7 @@ def _run_shares(work, shares, set_blas_threads):
 
     workers = [threading.Thread(target=run, args=(i,), name=f"fpopt-flow_{i}")
                for i in range(1, len(shares))]
-    with _share_lock:
-        before = set_blas_threads(1)
+    with _one_blas_thread():
         try:
             for worker in workers:
                 worker.start()
@@ -297,7 +325,6 @@ def _run_shares(work, shares, set_blas_threads):
             for worker in workers:
                 if worker.ident is not None:   # started
                     worker.join()
-            set_blas_threads(before)
     for failure in failures:
         if failure is not None:
             raise failure

@@ -1,9 +1,11 @@
 """Shared generators for seeded random sweeps."""
 
+import threading
+
 import numpy as np
 import scipy.integrate
 
-from fpopt import CoefficientPair, Covariance, Schedule
+from fpopt import CoefficientPair, Covariance, Schedule, propagator
 from fpopt.propagator import _Flow
 
 
@@ -76,3 +78,29 @@ def restarted(schedule, s):
     original's T(s + t, s)."""
     first = int(np.searchsorted(schedule.switch_times, s, side="right"))
     return Schedule(schedule.pairs[first:], [t - s for t in schedule.switch_times[first:]])
+
+
+def blas_threads(limit=None):
+    """OpenBLAS's thread count, read through its thread limit (by default
+    the package's), which sets a count and returns the one before."""
+    limit = limit or propagator._openblas_thread_limit()
+    count = limit(1)
+    limit(count)
+    return count
+
+
+def hold_is_free():
+    """Whether a fresh thread can take the BLAS-thread hold's lock at once.
+    The lock is reentrant, so the thread that holds it would always get it,
+    and an ``RLock`` has no ``locked()`` before Python 3.13."""
+    lock, taken = propagator._share_lock, []
+
+    def probe():
+        if lock.acquire(blocking=False):
+            lock.release()
+            taken.append(True)
+
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join()
+    return taken == [True]

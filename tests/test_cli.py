@@ -1,16 +1,19 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from fpopt import (CoefficientPair, Covariance, construct_optimal, sharp_constant,
+from fpopt import (CoefficientPair, Covariance, construct_optimal, norm_curve, sharp_constant,
                    tangency_time, validate_pair)
-from fpopt import cli
+from fpopt import cli, propagator
 from fpopt.benchmarks import rotating_pair
 from fpopt.cli import main
+from helpers import blas_threads, hold_is_free
 
 EPS = 0.05
 
@@ -648,3 +651,98 @@ def test_reproduce_unknown_figure_exit_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["reproduce", "fig9"])
     assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------- BLAS-thread hold
+
+def certificate(tmp_path, capsys):
+    problem = write_json(tmp_path / "p.json", {"K": {"diag": [1.0, 2.0, 4.0]}, "c": 2.0})
+    cert = str(tmp_path / "cert.json")
+    assert run(capsys, "optimize", problem, "--out", cert)[0] == 0
+    return cert
+
+
+def with_command(monkeypatch, name, command):
+    """Put ``command`` in place of ``cli.<name>``, on a parser of its own."""
+    monkeypatch.setattr(cli, name, command)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+
+
+#: For each exit code, the arguments of a command that ends with it.
+EXIT_CALLS = {
+    0: lambda tmp_path, capsys: ["validate", certificate(tmp_path, capsys)],
+    2: lambda tmp_path, capsys: ["optimize", str(tmp_path / "missing.json")],
+    3: lambda tmp_path, capsys: [
+        "optimize", write_json(tmp_path / "p.json", {"K": {"diag": [1.0, 2.0]}, "c": 1.0})],
+    4: lambda tmp_path, capsys: ["validate", write_json(tmp_path / "p.json", {
+        "K": [[1.0, 0.0], [0.0, 1.0]],
+        "pair": {"C": [[1.0, 0.0], [0.0, 0.0]], "D": [[1.0, 0.0], [0.0, 0.0]]}})],
+    5: lambda tmp_path, capsys: ["curve", write_json(
+        tmp_path / "p.json", anisotropic_doc({"pair": rotating_matrices(7.0)})), "--rate", "3.0"],
+    6: lambda tmp_path, capsys: [
+        "compare", write_json(tmp_path / "a.json", anisotropic_doc({"pair": rotating_matrices(7.0)})),
+        write_json(tmp_path / "b.json", {"K": {"diag": [1.0, 2.0]}, "pair": {"construct": {"c": 2.0}}}),
+        "--rate", "1.0"],
+}
+
+
+def test_a_command_runs_on_one_blas_thread(tmp_path, capsys, monkeypatch, three_blas_threads):
+    cert, seen, validate = certificate(tmp_path, capsys), [], cli.cmd_validate
+
+    def validate_seeing_the_count(args):
+        seen.append((blas_threads(), hold_is_free()))
+        return validate(args)
+
+    with_command(monkeypatch, "cmd_validate", validate_seeing_the_count)
+    assert run(capsys, "validate", cert)[0] == 0
+    assert seen == [(1, False)]
+    assert blas_threads() == 3 and hold_is_free()
+
+
+@pytest.mark.parametrize("code", sorted(EXIT_CALLS))
+def test_main_restores_the_blas_count_on_every_exit(tmp_path, capsys, three_blas_threads, code):
+    argv = EXIT_CALLS[code](tmp_path, capsys)
+    assert run(capsys, *argv)[0] == code
+    assert blas_threads() == 3 and hold_is_free()
+
+
+def test_main_restores_the_blas_count_when_an_exception_escapes(monkeypatch, three_blas_threads):
+    seen = []
+
+    def interrupted(args):
+        seen.append(blas_threads())
+        raise KeyboardInterrupt
+
+    with_command(monkeypatch, "cmd_reproduce", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["reproduce", "fig1"])
+    assert seen == [1]
+    assert blas_threads() == 3 and hold_is_free()
+
+
+def test_curve_reenters_the_hold_for_its_split(tmp_path, monkeypatch, three_blas_threads):
+    # the d = 8 curve splits its evaluations inside the command's hold; run
+    # in a thread of its own, so that a deadlock fails the test
+    if not propagator._share_plan():
+        pytest.skip("one CPU: log_norms runs serially")
+    diag = np.geomspace(1.0, 10.0, 8)
+    problem = write_json(tmp_path / "p.json",
+                         {"K": {"diag": diag.tolist()}, "pair": {"construct": {"c": 2.0}}})
+    out = tmp_path / "curve.csv"
+    splits, run_shares, codes = [], propagator._run_shares, []
+
+    def counted_run(work, shares):
+        splits.append(blas_threads())
+        return run_shares(work, shares)
+
+    monkeypatch.setattr(propagator, "_run_shares", counted_run)
+    command = threading.Thread(target=lambda: codes.append(main(["curve", problem, "--out", str(out)])),
+                               daemon=True)
+    command.start()
+    command.join(120)
+    assert not command.is_alive() and codes == [0]
+    assert splits and set(splits) == {1}
+    assert blas_threads() == 3 and hold_is_free()
+    library = io.StringIO()
+    norm_curve(construct_optimal(Covariance(diag), 2.0).pair).write_csv(library)
+    assert out.read_text() == library.getvalue()

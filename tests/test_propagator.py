@@ -48,6 +48,8 @@ from fpopt.propagator import (
 )
 from fpopt.text import _FORMAT_CHUNK
 from helpers import (
+    blas_threads,
+    hold_is_free,
     integrate_flow,
     make_pair,
     propagator_at,
@@ -373,23 +375,13 @@ def test_peak_refinement_matches_golden_section_and_mpmath(case):
 # ---------------------------------------------------------- split evaluation
 
 @pytest.fixture
-def split():
-    """The plan that shares out ``_Flow.log_norms`` across the CPUs,
-    ``(threads, set_blas_threads)``, with OpenBLAS set to 3 threads, a
-    count no split call sets, so that a test can check that its calls put
-    the count back."""
-    plan = propagator._share_plan()
-    if not plan:
-        pytest.skip("one CPU, or no OpenBLAS thread limit: log_norms runs serially")
-    before = plan[1](3)
-    yield plan
-    plan[1](before)
-
-
-def blas_threads(split):
-    count = split[1](1)
-    split[1](count)
-    return count
+def split(three_blas_threads):
+    """The number of threads that share out ``_Flow.log_norms`` across the
+    CPUs, with OpenBLAS set to 3 threads."""
+    threads = propagator._share_plan()
+    if not threads:
+        pytest.skip("one CPU: log_norms runs serially")
+    return threads
 
 
 def constructed_pair(dim):
@@ -403,15 +395,15 @@ def test_split_log_norms_equal_the_serial_loop(split, monkeypatch, dim):
     times = np.linspace(0.0, 20.0 / cert.rate, 3 * _CHUNK_ELEMENTS // dim**2 + 5)
     shares, run = [], propagator._run_shares
 
-    def counted_run(work, parts, set_blas_threads):
+    def counted_run(work, parts):
         shares.append(len(parts))
-        return run(work, parts, set_blas_threads)
+        return run(work, parts)
 
     monkeypatch.setattr(propagator, "_run_shares", counted_run)
     logs, slopes = flow.log_norms(times, times[-1], "t_max", slopes=True)
     only_logs = flow.log_norms(times, times[-1], "t_max")
-    assert shares == [split[0]] * 2
-    assert blas_threads(split) == 3 and not propagator._share_lock.locked()
+    assert shares == [split] * 2
+    assert blas_threads() == 3 and hold_is_free()
     monkeypatch.setattr(propagator, "_share_plan", lambda: None)
     serial_logs, serial_slopes = flow.log_norms(times, times[-1], "t_max", slopes=True)
     assert np.array_equal(logs, serial_logs) and np.array_equal(slopes, serial_slopes)
@@ -440,7 +432,7 @@ def test_split_raises_a_share_failure_once_every_share_is_done(split, monkeypatc
     time.sleep(0.1)
     assert any(caught.value is exc for exc in raised)   # re-raised as it was
     assert finished == len(calls) > 0                   # no share still running
-    assert blas_threads(split) == 3 and not propagator._share_lock.locked()
+    assert blas_threads() == 3 and hold_is_free()
 
 
 def test_user_threads_at_once_get_the_single_thread_curves(split, monkeypatch):
@@ -468,7 +460,7 @@ def test_user_threads_at_once_get_the_single_thread_curves(split, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads) and not failures
-    assert blas_threads(split) == 3 and not propagator._share_lock.locked()
+    assert blas_threads() == 3 and hold_is_free()
     monkeypatch.setattr(propagator, "_share_plan", lambda: None)
     serial = norm_curve(cert.pair, rate=cert.rate)
     for curve in curves:
@@ -501,7 +493,7 @@ def fork_curve(pair, split=None):
     context = multiprocessing.get_context("fork")
     receive, send = context.Pipe(duplex=False)
     child = context.Process(target=lambda: send.send(
-        (split and blas_threads(split), norm_curve(pair), propagator._share_plan() is None)))
+        (split and blas_threads(), norm_curve(pair), propagator._share_plan() is None)))
     child.start()
     try:   # read before joining: a curve fills the pipe's buffer
         sent = receive.recv() if receive.poll(60) else None
@@ -554,7 +546,38 @@ def test_fork_waits_for_a_split_under_way(split, monkeypatch):
     assert count == 3
     assert child_curve.sharp_constant == curve.sharp_constant
     assert np.array_equal(child_curve.values, curve.values)
-    assert not propagator._share_lock.locked()
+    assert hold_is_free()
+
+
+def test_fork_inside_a_hold_inherits_one_thread(split):
+    # the holding thread's fork re-enters the hold rather than waiting for
+    # it, so the child starts with the lowered count and evaluates under it
+    pair = constructed_pair(16).pair
+    curve = norm_curve(pair)
+    with propagator._one_blas_thread():
+        count, child_curve, _ = fork_curve(pair, split)
+    assert count == 1
+    assert np.array_equal(child_curve.values, curve.values)
+    assert blas_threads() == 3 and hold_is_free()
+
+
+def test_hold_is_reentrant_and_restores_the_count(three_blas_threads):
+    with propagator._one_blas_thread():
+        assert blas_threads() == 1 and not hold_is_free()
+        with propagator._one_blas_thread():
+            assert blas_threads() == 1
+        assert blas_threads() == 1 and not hold_is_free()
+    assert blas_threads() == 3 and hold_is_free()
+    with pytest.raises(KeyboardInterrupt):
+        with propagator._one_blas_thread():
+            raise KeyboardInterrupt
+    assert blas_threads() == 3 and hold_is_free()
+
+
+def test_hold_does_nothing_without_the_thread_limit(three_blas_threads, monkeypatch):
+    monkeypatch.setattr(propagator, "_openblas_thread_limit", lambda: None)
+    with propagator._one_blas_thread():
+        assert blas_threads(three_blas_threads) == 3 and hold_is_free()
 
 
 def test_import_leaves_the_thread_pool_unloaded():

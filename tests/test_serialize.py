@@ -1,9 +1,11 @@
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -179,12 +181,48 @@ def test_dump_json_spells_only_ties_ends_and_extremes_by_repr(monkeypatch):
     assert _dumped({"o": odd}) == _reference({"o": odd})
     assert fallback == [repr(v) for v in odd.tolist()]
     fallback.clear()
-    rng = np.random.default_rng(20)
-    q = np.linalg.qr(rng.normal(size=(64, 64)))[0]
-    k = (q * np.geomspace(1.0, 1e6, 64)) @ q.T
-    doc = certificate_to_dict(construct_optimal(Covariance(0.5 * (k + k.T)), 2.0))
+    # whether a value of a d = 64 certificate falls back hangs on its last
+    # bits, about 0.1 of them in 28,700 values: only the bytes are checked
+    doc = _random_certificate(64)
     assert _dumped(doc) == _reference(doc)
+    # values clear of every edge by ten margins never fall back
+    values = np.concatenate([v.ravel() for v in _random_certificate(32).values()
+                             if isinstance(v, np.ndarray) and v.dtype.kind == "f"])
+    values = values[values != 0.0]
+    margin = Fraction(10 * module._MARGIN)
+    clear = np.array([v for v in values.tolist() if _clears_repr_edges(v, margin)])
+    assert len(clear) >= 0.99 * len(values)
+    fallback.clear()
+    assert _dumped({"clear": clear}) == _reference({"clear": clear})
     assert fallback == []
+
+
+def _random_certificate(dim):
+    rng = np.random.default_rng(20)
+    q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    k = (q * np.geomspace(1.0, 1e6, dim)) @ q.T
+    return certificate_to_dict(construct_optimal(Covariance(0.5 * (k + k.T)), 2.0))
+
+
+def _clears_repr_edges(x, margin):
+    """Whether the nonzero double ``x``, scaled exactly to 17 digits
+    before the point, lies more than ``margin`` from both ends of its
+    rounding interval and from every tie between two multiples of a power
+    of ten inside that interval; checked in exact rational arithmetic."""
+    a = Fraction(abs(x))
+    scale = Fraction(10) ** (16 - math.floor(math.log10(abs(x))))
+    if a * scale < 10**16:   # log10 rounded up to a power of ten
+        scale *= 10
+    elif a * scale >= 10**17:
+        scale /= 10
+    s = a * scale
+    half_up = Fraction(math.ulp(abs(x))) / 2 * scale
+    half_down = half_up / 2 if math.frexp(abs(x))[0] == 0.5 else half_up
+    low, high = s - half_down, s + half_up
+    if any(abs(end - round(end)) <= margin for end in (low, high)):
+        return False
+    return all(abs(s % 10**k - Fraction(10**k, 2)) > margin
+               for k in range(18) if 10**k < high - low)
 
 
 def test_import_builds_no_decimal_tables():
