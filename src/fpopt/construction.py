@@ -76,6 +76,13 @@ def equidistribute_basis(direction) -> np.ndarray:
     on it differs from this one by the similarity ``Q``, which moves no
     spectrum, norm or envelope constant.
 
+    The map is discontinuous at ``v = e_1``.  There the first reflector is
+    the identity and ``Psi`` is one reflector (determinant -1), while a
+    direction a rounding away from ``e_1`` gets two (determinant +1).  The
+    two bases differ by such a ``Q``, a reflection: the whitened skew built
+    for an axis-aligned covariance and for a 1e-12 rotation of it can
+    differ in sign, with the same spectra and constants.
+
     Raises :class:`InvalidArgument` unless ``direction`` is a finite real
     1-D vector of length at least 2 with norm 1 to within 1e-12.
     """

@@ -541,7 +541,7 @@ def _scan_envelope(schedule: Schedule, rate: float) -> _ScanResult:
     gap = spectral_gap(schedule.asymptotic_pair)
     if rate > gap + 1e-8 * max(rate, abs(gap)):
         raise RateTooLarge(
-            f"rate {rate:.6g} exceeds the asymptotic decay {gap:.6g} of the schedule")
+            f"rate {rate!r} exceeds the asymptotic decay {gap!r} of the schedule")
     last_switch = schedule.switch_times[-1] if schedule.switch_times else 0.0
     horizon = max(20.0 / rate, 4.0 * last_switch)   # inf for a rate near underflow
     # weighted at the rate, the flow's log norms are log(exp(rate t) ||T||)

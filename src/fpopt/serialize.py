@@ -197,17 +197,27 @@ def load_problem(path) -> Problem:
 def certificate_to_dict(cert: OptimalCertificate) -> dict:
     """Serialise a certificate for :func:`dump_json`, its matrices and
     vectors as float arrays; the document written from it validates
-    cleanly."""
+    cleanly.
+
+    The document holds each fact once: ``kind``, ``dim``, the covariance
+    ``K``, the pair ``C`` and ``D`` (what ``validate`` checks), the
+    certificate matrices ``P`` and ``Q = P^{-1}``, ``direction``,
+    ``weights`` (null in the isotropic case), the budget ``c``,
+    ``constant``, ``lambda_opt`` and ``variant``.  The skew part and the
+    basis are not written, because the document determines both bit for
+    bit: ``cert.pair.skew`` is ``S - S^T`` with ``S = 0.5 * C @ K`` of the
+    written ``C`` and ``K``, and ``cert.basis`` is
+    ``equidistribute_basis(direction)``, or the identity when ``weights``
+    is null.
+    """
     return {
         "kind": "certificate",
         "dim": cert.dim,
         "K": cert.covariance.matrix,
         "C": cert.pair.drift,
         "D": cert.pair.diffusion,
-        "J": cert.pair.skew,
         "Q": cert.Q,
         "P": cert.P,
-        "basis": cert.basis,
         "direction": cert.direction,
         "weights": cert.weights,
         "c": float(cert.budget),

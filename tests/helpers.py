@@ -24,6 +24,14 @@ def make_pair(cov, diffusion, skew):
     return CoefficientPair(cov, (diffusion + skew) @ cov.inv, diffusion)
 
 
+def certificate_skew(doc):
+    """The skew part ``S - S^T``, ``S = C K / 2``, of a certificate
+    document's ``C`` and ``K``, formed as :class:`CoefficientPair` forms
+    it."""
+    ck = 0.5 * (np.array(doc["C"]) @ np.array(doc["K"]))
+    return ck - ck.T
+
+
 def random_admissible_pair(rng, cov):
     """Random member of the admissible set: PSD diffusion within the trace
     budget plus an antisymmetric skew part."""

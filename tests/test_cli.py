@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from fpopt import (CoefficientPair, Covariance, construct_optimal, norm_curve, sharp_constant,
-                   tangency_time, validate_pair)
+                   spectral_gap, tangency_time, validate_pair)
 from fpopt import cli, propagator
 from fpopt.benchmarks import rotating_pair
 from fpopt.cli import main
-from helpers import blas_threads, hold_is_free
+from fpopt.serialize import certificate_to_dict, dump_json, load_problem
+from helpers import blas_threads, certificate_skew, hold_is_free
 
 EPS = 0.05
 
@@ -96,7 +97,7 @@ def test_optimize_isotropic_symmetric_pair(tmp_path, capsys):
     code, out, _ = run(capsys, "optimize", path)
     assert code == 0
     doc = json.loads(out)
-    assert np.abs(np.array(doc["J"])).max() == 0.0
+    assert np.abs(certificate_skew(doc)).max() == 0.0
     assert np.array_equal(np.array(doc["C"]), np.eye(2))
     assert doc["constant"] == 1.0
 
@@ -295,6 +296,25 @@ def test_validate_over_budget_pair_exit_4(tmp_path, capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("variant", ["standard", "transpose"])
+def test_validate_reads_old_certificates_as_trimmed_ones(tmp_path, capsys, variant):
+    # a certificate that still holds the derived J and basis gives the
+    # trimmed one's exit code and report bytes, also when its pair is
+    # refused (D doubled, over the trace budget)
+    cert = construct_optimal(Covariance(np.array([1.0, 3.0, 5.0, 20.0])), 2.0, variant=variant)
+    trimmed = certificate_to_dict(cert)
+    old = {**trimmed, "J": cert.pair.skew, "basis": cert.basis}
+    for tamper, expected in (({}, 0), ({"D": 2.0 * cert.pair.diffusion}, 4)):
+        outcomes = []
+        for name, doc in (("trimmed", trimmed), ("old", old)):
+            path = tmp_path / f"{name}.json"
+            dump_json({**doc, **tamper}, str(path))
+            code, out, _ = run(capsys, "validate", str(path))
+            outcomes.append((code, out))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == expected
+
+
 # -------------------------------------------------------------------- curve
 
 def test_curve_csv_shape_and_t0_row(tmp_path, capsys):
@@ -360,6 +380,17 @@ def test_curve_rate_too_large_exit_5(tmp_path, capsys):
     code, _, err = run(capsys, "curve", path, "--rate", "3.0")
     assert code == 5
     assert err
+
+
+def test_curve_rate_just_above_the_gap_prints_both_reprs(tmp_path, capsys):
+    # 1e-7 above the gap, relative: both numbers print alike at 6 digits
+    path = write_json(tmp_path / "p.json", anisotropic_doc({"pair": rotating_matrices(7.0)}))
+    gap = spectral_gap(load_problem(path).pair)
+    rate = gap * (1.0 + 1e-7)
+    assert f"{rate:.6g}" == f"{gap:.6g}"
+    code, _, err = run(capsys, "curve", path, "--rate", repr(rate))
+    assert code == 5
+    assert repr(rate) in err and repr(gap) in err
 
 
 def test_curve_nonpositive_rate_or_horizon_exit_2(tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 
 import fpopt
 from fpopt import Covariance, construct_optimal
+from fpopt.construction import VARIANTS, equidistribute_basis
 from fpopt.serialize import (
     ProblemFormatError,
     certificate_to_dict,
@@ -20,6 +21,7 @@ from fpopt.serialize import (
     matrix_from_obj,
     problem_from_dict,
 )
+from helpers import certificate_skew
 
 
 def test_matrix_shorthand_forms():
@@ -54,6 +56,29 @@ def test_certificate_round_trip():
     assert doc["constant"] == pytest.approx(cert.constant, rel=1e-15)
     assert doc["variant"] == "transpose"
     assert np.abs(np.array(doc["weights"]) - cert.weights).max() <= 1e-15
+
+
+def _rotated_covariance(dim, kappa):
+    q = np.linalg.qr(np.random.default_rng(20).normal(size=(dim, dim)))[0]
+    k = (q * np.geomspace(1.0, kappa, dim)) @ q.T
+    return Covariance(0.5 * (k + k.T))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("cov", [_rotated_covariance(2, 20.0), _rotated_covariance(4, 1e3),
+                                 _rotated_covariance(64, 1e6), Covariance(np.full(4, 3.0))],
+                         ids=["d2", "d4", "d64", "isotropic"])
+def test_certificate_determines_the_skew_and_basis_it_omits(cov, variant):
+    cert = construct_optimal(cov, 2.0, variant=variant)
+    doc = json.loads(_dumped(certificate_to_dict(cert)))
+    assert sorted(doc) == ["C", "D", "K", "P", "Q", "c", "constant", "dim", "direction",
+                           "kind", "lambda_opt", "variant", "weights"]
+    if doc["weights"] is None:
+        basis = np.eye(doc["dim"])
+    else:
+        basis = equidistribute_basis(np.array(doc["direction"]))
+    assert basis.tobytes() == cert.basis.tobytes()
+    assert certificate_skew(doc).tobytes() == cert.pair.skew.tobytes()
 
 
 def test_schedule_document_durations():
@@ -198,10 +223,7 @@ def test_dump_json_spells_only_ties_ends_and_extremes_by_repr(monkeypatch):
 
 
 def _random_certificate(dim):
-    rng = np.random.default_rng(20)
-    q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
-    k = (q * np.geomspace(1.0, 1e6, dim)) @ q.T
-    return certificate_to_dict(construct_optimal(Covariance(0.5 * (k + k.T)), 2.0))
+    return certificate_to_dict(construct_optimal(_rotated_covariance(dim, 1e6), 2.0))
 
 
 def _clears_repr_edges(x, margin):
