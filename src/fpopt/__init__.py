@@ -48,7 +48,6 @@ from .construction import (
     equidistribute_basis,
     frobenius_bound,
     growth_study,
-    skew_coupling,
 )
 from .propagator import (
     NormCurve,
@@ -106,7 +105,6 @@ __all__ = [
     "norm_curve",
     "same_equilibrium",
     "sharp_constant",
-    "skew_coupling",
     "spectral_gap",
     "tangency_time",
     "validate_pair",

@@ -9,16 +9,19 @@ side:
 1. Aim a rank-one diffusion ``D = d (v x v)`` along the unit eigenvector
    ``v`` of ``K^{-1}`` for the fastest rate, spending the whole trace
    budget.  Whitening scales it to ``D~ = r D``.
-2. Find an orthonormal basis in which ``D~`` has constant diagonal
-   ``Tr(D~)/d``: as ``D~`` is rank one, any basis whose columns all have
-   overlap ``1/sqrt(d)`` with ``v`` will do, and two Householder
-   reflectors give one (:func:`equidistribute_basis`).  Pick strictly
-   increasing positive weights ``w_1 < ... < w_d`` with ``w_d / w_1 = c^2``
-   and couple the basis directions with the antisymmetric matrix whose
-   (j, k) entry is ``(w_j + w_k) / (w_j - w_k) <psi_j, D~ psi_k>``.  This
+2. Find an orthonormal basis ``Psi`` whose every column has overlap
+   ``1/sqrt(d)`` with ``v``: two Householder reflectors give one with
+   ``Psi^T v = u = (1, ..., 1) / sqrt(d)`` (:func:`equidistribute_basis`).
+   As ``D~ = r d v v^T``, every ``<psi_j, D~ psi_k> = r d u_j u_k`` is
+   ``r``.  Pick strictly increasing positive weights ``w_1 < ... < w_d``
+   with ``w_d / w_1 = c^2`` and couple the basis directions with
+   ``(w_j + w_k) / (w_j - w_k) <psi_j, D~ psi_k>``, that is ``r A(w)`` with
+   ``A_jk = (w_j + w_k) / (w_j - w_k)`` off the diagonal and 0 on it.  This
    choice makes ``Q = Psi diag(w) Psi^T`` satisfy the Lyapunov identity
    ``J~ Q - Q J~ + Q D~ + D~ Q = 2 r Q``, so the ``P``-weighted norm with
-   ``P = Q^{-1}`` decays exactly like ``exp(-r t)`` along the whitened flow.
+   ``P = Q^{-1}`` decays exactly like ``exp(-r t)`` along the whitened flow
+   of drift ``C~ = r Psi (11^T +- A(w)) Psi^T`` (``-`` in the transposed
+   variant), whose norms depend on ``K`` only through ``r``.
 3. Converting back to Euclidean norm costs the factor
    ``sqrt(kappa(P)) = c``, which is the certified envelope constant.
 
@@ -124,29 +127,6 @@ def arithmetic_weights(dim: int, budget: float) -> np.ndarray:
     return weights
 
 
-def skew_coupling(basis: np.ndarray, weights: np.ndarray,
-                  whitened_diffusion) -> np.ndarray:
-    """Antisymmetric coupling in the coordinates of the orthonormal
-    ``basis`` columns.
-
-    Entry (j, k), j != k, is ``(w_j + w_k) / (w_j - w_k)`` times the basis
-    matrix element of the whitened diffusion; the diagonal is zero.  This is
-    exactly the coupling that turns the weight matrix into a Lyapunov
-    certificate for the combined flow.
-    """
-    basis, m = kernel.as_square(basis), kernel.as_square(whitened_diffusion)
-    w = np.asarray(weights, dtype=float)
-    if len(basis) != w.size or len(m) != len(basis):
-        raise ValueError("basis, weights and diffusion dimensions must agree")
-    elements = basis.T @ m @ basis
-    num = w[:, None] + w[None, :]
-    den = w[:, None] - w[None, :]
-    np.fill_diagonal(den, 1.0)
-    coupling = num / den * elements
-    np.fill_diagonal(coupling, 0.0)
-    return 0.5 * (coupling - coupling.T)
-
-
 @dataclass(frozen=True)
 class OptimalCertificate:
     """A constructed pair together with everything that certifies its decay.
@@ -235,7 +215,11 @@ def construct_optimal(covariance: Covariance, budget: float,
     # because its range is the eigenspace the rate comes from.
     whitened_diffusion = rate * diffusion
     basis = equidistribute_basis(direction)
-    coupling = skew_coupling(basis, weights, whitened_diffusion)
+    # rate A(w) (module docstring, step 2): exactly antisymmetric, with the
+    # zero diagonal that the infinite gaps give
+    gaps = np.subtract.outer(weights, weights)
+    np.fill_diagonal(gaps, np.inf)
+    coupling = rate * np.add.outer(weights, weights) / gaps
     whitened_skew = basis @ coupling @ basis.T
     if variant == "transpose":
         whitened_skew = -whitened_skew

@@ -36,12 +36,14 @@ def number_from_obj(obj, name: str) -> float:
 
 def _numbers(obj, name: str) -> np.ndarray:
     """``obj`` as a float array if it is a list of JSON numbers or a list of
-    such lists: the rule of :func:`number_from_obj`, entry by entry."""
+    such lists: the rule of :func:`number_from_obj`, checked once per entry
+    type."""
     if not isinstance(obj, list):
         raise ProblemFormatError(f"{name}: expected an array of numbers")
     try:
         entries = chain.from_iterable(obj) if obj and isinstance(obj[0], list) else obj
-        if set(map(type, entries)) <= {int, float}:
+        if all(issubclass(kind, (int, float)) and not issubclass(kind, bool)
+               for kind in set(map(type, entries))):
             return np.asarray(obj, dtype=float)
     except (TypeError, ValueError, OverflowError):   # a row not a list, ragged rows, a huge int
         pass

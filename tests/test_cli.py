@@ -13,7 +13,8 @@ from fpopt import (CoefficientPair, Covariance, construct_optimal, norm_curve, s
 from fpopt import cli, propagator
 from fpopt.benchmarks import rotating_pair
 from fpopt.cli import main
-from fpopt.serialize import certificate_to_dict, dump_json, load_problem
+from fpopt.serialize import (ProblemFormatError, certificate_to_dict, dump_json, load_problem,
+                             problem_from_dict)
 from helpers import blas_threads, certificate_skew, hold_is_free
 
 EPS = 0.05
@@ -275,6 +276,23 @@ def test_validate_rank_one_pair_passes(tmp_path, capsys):
     report = json.loads(out)
     assert report["rank_diffusion"] == 1
     assert report["passed"] is True
+
+
+def test_problem_entries_may_be_numpy_floats(tmp_path):
+    # rotating_matrices builds entries with np.sqrt: np.float64, a float
+    doc = anisotropic_doc({"pair": rotating_matrices(7.0)})
+    assert type(doc["pair"]["C"][0][1]) is np.float64
+    loaded = problem_from_dict(doc).pair
+    reread = load_problem(write_json(tmp_path / "p.json", doc)).pair
+    assert np.array_equal(loaded.drift, reread.drift)
+    assert np.array_equal(loaded.diffusion, reread.diffusion)
+    # booleans, numpy's included, and strings are still no numbers
+    for bad in (True, np.bool_(True), "2.0"):
+        with pytest.raises(ProblemFormatError, match="no strings, no booleans"):
+            problem_from_dict(anisotropic_doc({"pair": {"C": [[1.0, bad], [0.0, 1.0]],
+                                                        "D": {"diag": [0.0, 2.0]}}}))
+        with pytest.raises(ProblemFormatError, match="no strings, no booleans"):
+            problem_from_dict({"K": {"diag": [1.0, bad]}})
 
 
 def test_validate_accepts_high_dimensional_certificate(tmp_path, capsys):

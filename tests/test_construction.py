@@ -13,7 +13,6 @@ from fpopt import (
     frobenius_bound,
     growth_study,
     norm_curve,
-    skew_coupling,
     validate_pair,
 )
 from helpers import random_covariance
@@ -106,40 +105,51 @@ def test_weights_validation():
 
 # ------------------------------------------------------------ skew coupling
 
-def test_skew_coupling_vanishes_for_scalar_diffusion():
-    coupling = skew_coupling(np.eye(3), arithmetic_weights(3, 2.0), 2.0 * np.eye(3))
-    assert np.abs(coupling).max() <= 1e-14
+def _coupling_matrix(weights):
+    """A(w): (w_j + w_k) / (w_j - w_k) off the diagonal, 0 on it, entry by
+    entry, apart from the library's outer-product form."""
+    d = len(weights)
+    a = np.zeros((d, d))
+    for j in range(d):
+        for k in range(d):
+            if j != k:
+                a[j, k] = (weights[j] + weights[k]) / (weights[j] - weights[k])
+    return a
 
 
 def test_skew_coupling_2d_value():
-    diffusion_w = np.diag([2.0, 0.0])
-    basis = equidistribute_basis([1.0, 0.0])
-    weights = arithmetic_weights(2, np.sqrt(2.0))
-    coupling = skew_coupling(basis, weights, diffusion_w)
-    # the skew itself, unlike its coordinates, does not depend on the basis
-    skew = basis @ coupling @ basis.T
-    assert np.abs(skew - np.array([[0.0, 3.0], [-3.0, 0.0]])).max() <= 1e-12
+    cov = Covariance(np.array([1.0, 2.0]))
+    expected = np.array([[0.0, 3.0], [-3.0, 0.0]])
+    for variant, sign in (("standard", 1.0), ("transpose", -1.0)):
+        cert = construct_optimal(cov, np.sqrt(2.0), variant)
+        assert np.abs(cert.pair.whitened_diffusion - np.diag([2.0, 0.0])).max() <= 1e-12
+        # the skew itself, unlike its coordinates, does not depend on the basis
+        assert np.abs(cert.pair.whitened_skew - sign * expected).max() <= 1e-12
 
 
 def test_skew_coupling_rank_one_formula():
     # oracle: entries (w_j + w_k)/(w_j - w_k) * d * rate * a_j a_k with
     # a_k the overlaps of the diffusion direction with the basis
     rng = np.random.default_rng(32)
-    v = rng.normal(size=4)
-    v /= np.linalg.norm(v)
+    axes = np.linalg.qr(rng.normal(size=(4, 4)))[0]
     rate = 1.7
-    diffusion_w = 4.0 * rate * np.outer(v, v)
-    basis = equidistribute_basis(v)
-    w = arithmetic_weights(4, 1.4)
-    coupling = skew_coupling(basis, w, diffusion_w)
-    a = basis.T @ v
+    cert = construct_optimal(Covariance.from_eigen([1.0 / rate, 1.0, 2.0, 3.0], axes), 1.4)
+    assert cert.rate == pytest.approx(rate, rel=1e-15)
+    w = cert.weights
+    assert np.array_equal(w, arithmetic_weights(4, 1.4))
+    coupling = cert.basis.T @ cert.pair.whitened_skew @ cert.basis
+    a = cert.basis.T @ cert.direction
     assert np.abs(a**2 - 0.25).max() <= 1e-10
-    expected = np.zeros((4, 4))
-    for j in range(4):
-        for k in range(4):
-            if j != k:
-                expected[j, k] = (w[j] + w[k]) / (w[j] - w[k]) * 4.0 * rate * a[j] * a[k]
+    expected = _coupling_matrix(w) * 4.0 * rate * np.outer(a, a)
     assert np.abs(coupling - expected).max() <= 1e-10
+
+
+def _sampled(curve, grid):
+    """The curve's values on the uniform ``grid``: each curve also carries
+    its own tangency point, and two curves' tangencies differ by rounding."""
+    values = curve.values[np.isin(curve.times, grid)]
+    assert values.size == grid.size
+    return values
 
 
 def test_decay_does_not_depend_on_the_equidistributing_basis():
@@ -152,20 +162,46 @@ def test_decay_does_not_depend_on_the_equidistributing_basis():
         cov = random_covariance(rng, d)
         cert = construct_optimal(cov, 2.0)
         pair = cert.pair
-        basis = cert.basis[:, rng.permutation(d)] * rng.choice([-1.0, 1.0], size=d)
-        coupling = skew_coupling(basis, cert.weights, pair.whitened_diffusion)
+        signs = rng.choice([-1.0, 1.0], size=d)
+        basis = cert.basis[:, rng.permutation(d)] * signs
+        # Psi'^T D~ Psi' = rate sigma sigma^T, so the general coupling
+        # A(w) * <psi'_j, D~ psi'_k> is rate A(w) sigma sigma^T entrywise
+        coupling = cert.rate * _coupling_matrix(cert.weights) * np.outer(signs, signs)
         whitened_drift = pair.whitened_diffusion + basis @ coupling @ basis.T
         other = CoefficientPair(cov, cov.unwhiten_drift(whitened_drift), pair.diffusion)
         assert np.linalg.norm(other.whitened_drift - pair.whitened_drift) > 1e-3
-        # compared on the uniform grid: each curve adds its own tangency
-        # point, and the two differ by rounding
         grid = np.linspace(0.0, 20.0 / cert.rate, 257)
         curves = [norm_curve(p, grid[-1], grid.size, rate=cert.rate) for p in (pair, other)]
-        ours, theirs = (c.values[np.isin(c.times, grid)] for c in curves)
-        assert ours.size == theirs.size == grid.size
+        ours, theirs = (_sampled(c, grid) for c in curves)
         assert np.abs(theirs / ours - 1.0).max() <= 1e-12
         # a curve's constant is sharp_constant's, bit for bit
         assert curves[1].sharp_constant == pytest.approx(curves[0].sharp_constant, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, budget", [(3, 2.0), (5, 1.5), (8, 10.0)])
+def test_constructed_decay_is_the_normal_form(dim, budget):
+    # C~ = rate Psi (11^T + A(w)) Psi^T (11^T - A(w) in the transposed
+    # variant), so the curve at times s / rate is that of the pair
+    # (11^T +- A(w), 11^T) for K = I at times s, whatever K is; whitening
+    # and unwhitening round at the scale kappa(K) eps
+    eps = np.finfo(float).eps
+    axes = np.linalg.qr(np.random.default_rng(dim).normal(size=(dim, dim)))[0]
+    covariances = [Covariance(np.geomspace(1.0, 10.0, dim)),
+                   Covariance(np.geomspace(1.0, 1e4, dim)),
+                   Covariance.from_eigen(np.geomspace(1.0, 1e2, dim), axes)]
+    ones = np.ones((dim, dim))
+    a = _coupling_matrix(arithmetic_weights(dim, budget))
+    s = np.linspace(0.0, 20.0, 257)
+    for variant, sign in (("standard", 1.0), ("transpose", -1.0)):
+        normal = norm_curve(CoefficientPair(Covariance(np.ones(dim)), ones + sign * a, ones),
+                            s[-1], s.size, rate=1.0)
+        for cov in covariances:
+            cert = construct_optimal(cov, budget, variant)
+            grid = np.linspace(0.0, s[-1] / cert.rate, s.size)
+            curve = norm_curve(cert.pair, grid[-1], grid.size, rate=cert.rate)
+            tol = 1e3 * cov.condition_number * eps
+            assert np.abs(_sampled(curve, grid) / _sampled(normal, s) - 1.0).max() <= tol
+            assert curve.sharp_constant == pytest.approx(normal.sharp_constant, rel=tol)
 
 
 # ------------------------------------------------------- optimal construction
