@@ -18,7 +18,6 @@ import os
 import numpy as np
 
 from fpopt import (
-    baseline_envelope,
     best_constant_2d,
     construct_optimal,
     norm_curve,
@@ -52,9 +51,6 @@ def main():
     print("two-phase baseline guarantee (symmetric start), for contrast:")
     floor = np.sqrt(cov.condition_number * np.e)
     print(f"  its constant is at least sqrt(kappa * e) = {floor:.3f}")
-    for t in (0.5, 2.0, 5.0):
-        print(f"  baseline envelope at t={t}: {baseline_envelope(cov, 2.0, t):.6f}"
-              f"   vs construction (c=1.5): {1.5 * np.exp(-cov.fastest_rate * t):.6f}")
 
 
 if __name__ == "__main__":

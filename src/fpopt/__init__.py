@@ -35,7 +35,6 @@ from .equilibrium import (
     CoefficientPair,
     Covariance,
     ValidationReport,
-    baseline_envelope,
     same_equilibrium,
     spectral_gap,
     validate_pair,
@@ -55,7 +54,6 @@ from .propagator import (
     ScheduleRanking,
     best_constant_2d,
     compare_schedules,
-    initial_decay_rate,
     max_initial_decay,
     norm_curve,
     sharp_constant,
@@ -89,7 +87,6 @@ __all__ = [
     "TraceBudgetExceeded",
     "ValidationReport",
     "arithmetic_weights",
-    "baseline_envelope",
     "best_constant_2d",
     "compare_schedules",
     "construct_optimal",
@@ -99,7 +96,6 @@ __all__ = [
     "frobenius_bound",
     "general_eigenvalues",
     "growth_study",
-    "initial_decay_rate",
     "kalman_rank",
     "max_initial_decay",
     "norm_curve",

@@ -6,8 +6,7 @@ drift-diffusion evolution with coefficients ``(C, D)`` exactly when
 positive semi-definite and the injected randomness capped by the trace
 budget ``Tr(D) <= d``.  This module holds the equilibrium object with its
 cached spectral data, the coefficient-pair object with its whitened forms,
-quantitative validation, the spectral gap, and the baseline decay envelope
-of the classical two-phase (symmetric start) scheme.
+quantitative validation, and the spectral gap.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernel
-from .errors import InvalidConstant, InvalidMatrix, NotPSD, NotSymmetric, TraceBudgetExceeded
+from .errors import InvalidMatrix, NotPSD, NotSymmetric, TraceBudgetExceeded
 
 #: Absolute slack on the trace budget Tr(D) <= d.  Pairs over budget are
 #: rejected, never rescaled: rescaling would silently change the time unit.
@@ -282,30 +281,3 @@ def spectral_gap(pair: CoefficientPair) -> float:
     """Smallest real part over the drift spectrum: the sharp asymptotic rate.
     Taken from the whitened drift, which every norm computation runs on."""
     return float(np.min(kernel.general_eigenvalues(pair.whitened_drift).real))
-
-
-def baseline_envelope(covariance: Covariance, slack: float, t):
-    """Norm-level decay envelope of the classical two-phase scheme.
-
-    The scheme runs the plain symmetric evolution on an initial layer of
-    length ``t0 = min variance / 2`` and only then switches to a fast
-    non-symmetric pair.  The resulting guarantee, at norm level, is 1 up to
-    ``t0`` and ``min(1, sqrt(slack * kappa(K)) * exp((1 - 2 r t) / 2))``
-    afterwards, with ``r`` the fastest rate; its multiplicative constant
-    ``sqrt(slack * kappa(K) * e)`` cannot go below ``sqrt(kappa(K) e)``,
-    which is the gap the single-equation construction closes.
-
-    ``t`` may be a scalar or an array; ``slack`` must exceed 1.
-    """
-    if not slack > 1.0:
-        raise InvalidConstant("slack constant must be > 1")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be nonnegative")
-    rate = covariance.fastest_rate
-    t0 = 0.5 * covariance.variances[0]
-    tail = np.sqrt(slack * covariance.condition_number) * np.exp(0.5 * (1.0 - 2.0 * rate * t))
-    out = np.where(t <= t0, 1.0, np.minimum(1.0, tail))
-    if out.ndim == 0:
-        return float(out)
-    return out

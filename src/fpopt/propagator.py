@@ -11,7 +11,7 @@ provides the schedule object, the one evaluator of ``T(t, 0)`` (the private
 with CSV export, the sharp multiplicative constant at a given rate
 (supremum of ``exp(rate t) ||T(t, 0)||`` over a fixed grid, with
 slope-driven peak refinement), the 2D closed form for that constant,
-initial decay rates, and the pair of maximum initial decay.
+and the pair of maximum initial decay.
 """
 
 from __future__ import annotations
@@ -653,18 +653,6 @@ def best_constant_2d(pair: CoefficientPair) -> float:
     if alpha >= 1.0 - 1e-12:
         raise NotApplicable2D("whitened drift is not diagonalisable")
     return float(np.sqrt((1.0 + alpha) / (1.0 - alpha)))
-
-
-def initial_decay_rate(pair: CoefficientPair) -> float:
-    """Slope of the norm curve at time zero.
-
-    The curve expands as ``1 - m t + O(t^2)`` with ``m`` the smallest
-    eigenvalue of the symmetric part of the whitened drift, which for an
-    admissible pair equals the whitened diffusion.  Rank-deficient
-    diffusions therefore start flat: ``1 + O(t^2)``.
-    """
-    ct = pair.whitened_drift
-    return float(np.linalg.eigvalsh(0.5 * (ct + ct.T))[0])
 
 
 def max_initial_decay(covariance: Covariance):

@@ -11,6 +11,7 @@ directive plus a duration, the last one open-ended), and an analysis block
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
@@ -28,8 +29,9 @@ class ProblemFormatError(ValueError):
 
 
 def number_from_obj(obj, name: str) -> float:
-    """``obj`` as a float if it is a JSON number: not a boolean, not a string."""
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+    """``obj`` as a float if it is a real number (a JSON number or a numpy
+    scalar): not a boolean, not a string."""
+    if isinstance(obj, bool) or not isinstance(obj, numbers.Real):
         raise ProblemFormatError(f"{name} must be a number, got {obj!r}")
     return float(obj)
 
@@ -42,7 +44,7 @@ def _numbers(obj, name: str) -> np.ndarray:
         raise ProblemFormatError(f"{name}: expected an array of numbers")
     try:
         entries = chain.from_iterable(obj) if obj and isinstance(obj[0], list) else obj
-        if all(issubclass(kind, (int, float)) and not issubclass(kind, bool)
+        if all(issubclass(kind, numbers.Real) and not issubclass(kind, bool)
                for kind in set(map(type, entries))):
             return np.asarray(obj, dtype=float)
     except (TypeError, ValueError, OverflowError):   # a row not a list, ragged rows, a huge int

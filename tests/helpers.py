@@ -1,9 +1,11 @@
 """Shared generators for seeded random sweeps."""
 
+import itertools
 import threading
 
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 
 from fpopt import CoefficientPair, Covariance, Schedule, propagator
 from fpopt.propagator import _Flow
@@ -44,6 +46,14 @@ def random_admissible_pair(rng, cov):
     return make_pair(cov, diffusion, skew)
 
 
+def initial_slope(pair):
+    """The slope ``m`` of the norm curve's start, ``1 - m t + O(t^2)``: the
+    smallest eigenvalue of the symmetric part of the whitened drift, which
+    for an admissible pair is the whitened diffusion."""
+    ct = pair.whitened_drift
+    return float(np.linalg.eigvalsh(0.5 * (ct + ct.T))[0])
+
+
 def random_stable(rng, dim, margin=0.5):
     """Random matrix with spectrum shifted into the open right half-plane."""
     a = rng.normal(size=(dim, dim))
@@ -73,6 +83,47 @@ def integrate_flow(schedule, t, rtol=1e-12, atol=1e-14):
             start = end
         cols.append(x)
     return np.column_stack(cols)
+
+
+def fokker_planck_evolution(schedule, t, degree):
+    """Independent oracle for the Fokker-Planck evolution itself: its
+    solution operator at time ``t`` on the polynomials of degree up to
+    ``degree``, in the orthonormal Hermite basis of L^2(N(0, I)), split at
+    the breakpoints.  Returns the matrix and each basis function's degree.
+
+    The whitening comes from a Cholesky factor ``K = L L^T``, not from the
+    package's symmetric square root: in ``y = L^{-1} x`` the ratio
+    ``h = f / f_inf`` evolves by ``dh/dt = Tr(D~ grad^2 h) - (C~^T y).grad h``
+    with ``C~ = L^{-1} C L`` and ``D~ = L^{-1} D L^{-T}``.  On the functions
+    ``prod_i He_{a_i}(y_i) / sqrt(a_i!)``, ``d/dy_i`` lowers ``a_i`` with the
+    factor ``sqrt(a_i)`` and ``y_i`` is that lowering plus its adjoint, so
+    the generator is exact on degrees up to ``degree``.  For an admissible
+    pair its degree-lowering terms cancel, which makes it block diagonal by
+    degree."""
+    chol = np.linalg.cholesky(schedule.covariance.matrix)
+    indices = [a for a in itertools.product(range(degree + 1), repeat=schedule.dim)
+               if sum(a) <= degree]
+    position = {a: n for n, a in enumerate(indices)}
+    lower = np.zeros((schedule.dim, len(indices), len(indices)))
+    for n, a in enumerate(indices):
+        for i in np.flatnonzero(a):
+            lower[i, position[a[:i] + (a[i] - 1,) + a[i + 1:]], n] = np.sqrt(a[i])
+    coordinate = lower + lower.transpose(0, 2, 1)
+    evolution = np.eye(len(indices))
+    bounds = list(schedule.switch_times) + [np.inf]
+    start = 0.0
+    for pair, end in zip(schedule.pairs, bounds):
+        drift = scipy.linalg.solve_triangular(chol, pair.drift @ chol, lower=True)
+        diffusion = scipy.linalg.solve_triangular(
+            chol, scipy.linalg.solve_triangular(chol, pair.diffusion, lower=True).T, lower=True)
+        generator = (np.einsum("ij,iab,jbc->ac", diffusion, lower, lower)
+                     - np.einsum("ji,jab,ibc->ac", drift, coordinate, lower))
+        hi = min(t, end)
+        evolution = scipy.linalg.expm((hi - start) * generator) @ evolution
+        if end >= t:
+            break
+        start = end
+    return evolution, np.array([sum(a) for a in indices])
 
 
 def propagator_at(schedule, t):

@@ -16,7 +16,6 @@ from fpopt import (
     expm,
     general_eigenvalues,
     growth_study,
-    initial_decay_rate,
     max_initial_decay,
     norm_curve,
     sharp_constant,
@@ -28,6 +27,7 @@ from fpopt import (
 )
 from fpopt.benchmarks import case_pairs, rotating_pair, split_schedule
 from helpers import (
+    initial_slope,
     integrate_flow,
     propagator_at,
     random_admissible_pair,
@@ -140,11 +140,11 @@ def test_criterion_07_initial_decay():
     rng = np.random.default_rng(103)
     for _ in range(100):
         sample = random_admissible_pair(rng, cov)
-        assert initial_decay_rate(sample) <= rate + 1e-9
+        assert initial_slope(sample) <= rate + 1e-9
     certificates = [construct_optimal(cov, 1.2), construct_optimal(cov, 2.0),
                     construct_optimal(random_covariance(rng, 3), 1.5)]
     for cert in certificates:
-        assert abs(initial_decay_rate(cert.pair)) <= 1e-12
+        assert abs(initial_slope(cert.pair)) <= 1e-12
         # flat start: fit the small-time expansion of the norm curve
         h = 2e-4
         ts = np.linspace(0.0, h, 25)

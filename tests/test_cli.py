@@ -295,6 +295,19 @@ def test_problem_entries_may_be_numpy_floats(tmp_path):
             problem_from_dict({"K": {"diag": [1.0, bad]}})
 
 
+def test_problem_entries_may_be_numpy_integers():
+    # numpy integers are no subclass of int, but they are real numbers
+    cases = [({"K": {"diag": [np.int64(1), 2.0]}}, {"K": {"diag": [1, 2.0]}}),
+             ({"K": {"diag": [1.0, 2.0]}, "c": np.int64(2)}, {"K": {"diag": [1.0, 2.0]}, "c": 2})]
+    for doc, plain in cases:
+        loaded, expected = problem_from_dict(doc), problem_from_dict(plain)
+        assert np.array_equal(loaded.covariance.matrix, expected.covariance.matrix)
+        assert loaded.budget == expected.budget
+    for bad in (True, np.bool_(True), "2"):
+        with pytest.raises(ProblemFormatError, match="c must be a number"):
+            problem_from_dict({"K": {"diag": [1.0, 2.0]}, "c": bad})
+
+
 def test_validate_accepts_high_dimensional_certificate(tmp_path, capsys):
     # the rank-one optimal pair at d = 24 is hypoelliptic: validate exits 0
     path = write_json(tmp_path / "p.json", {"K": {"diag": np.geomspace(1.0, 2.0, 24).tolist()},

@@ -6,13 +6,11 @@ import pytest
 from fpopt import (
     CoefficientPair,
     Covariance,
-    InvalidConstant,
     InvalidMatrix,
     MixedEquilibria,
     NotPSD,
     Schedule,
     TraceBudgetExceeded,
-    baseline_envelope,
     construct_optimal,
     general_eigenvalues,
     same_equilibrium,
@@ -276,30 +274,3 @@ def test_spectral_gap_bounded_by_fastest_rate():
         for _ in range(40):
             pair = random_admissible_pair(rng, cov)
             assert spectral_gap(pair) <= cov.fastest_rate + 1e-9
-
-
-# ----------------------------------------------------- baseline envelope
-
-def test_baseline_envelope_starts_at_one():
-    cov = Covariance(np.array([20.0, 1.0]))
-    assert baseline_envelope(cov, 2.0, 0.0) == 1.0
-
-
-def test_baseline_envelope_tail_rate_and_constant():
-    cov = Covariance(np.array([20.0, 1.0]))
-    constant = np.sqrt(2.0 * 20.0 * np.e)
-    for t in (3.0, 4.0, 6.0):
-        assert baseline_envelope(cov, 2.0, t) == pytest.approx(constant * np.exp(-t), rel=1e-12)
-
-
-def test_baseline_envelope_monotone():
-    cov = Covariance(np.array([20.0, 1.0]))
-    values = baseline_envelope(cov, 2.0, np.linspace(0.0, 12.0, 400))
-    assert np.all(np.diff(values) <= 1e-15)
-    assert np.all(values <= 1.0)
-
-
-def test_baseline_envelope_rejects_unit_slack():
-    cov = Covariance(np.array([2.0, 1.0]))
-    with pytest.raises(InvalidConstant):
-        baseline_envelope(cov, 1.0, 1.0)

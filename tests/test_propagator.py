@@ -27,7 +27,6 @@ from fpopt import (
     compare_schedules,
     construct_optimal,
     expm,
-    initial_decay_rate,
     max_initial_decay,
     norm_curve,
     sharp_constant,
@@ -49,12 +48,15 @@ from fpopt.propagator import (
 from fpopt.text import _FORMAT_CHUNK
 from helpers import (
     blas_threads,
+    fokker_planck_evolution,
     hold_is_free,
+    initial_slope,
     integrate_flow,
     make_pair,
     propagator_at,
     random_admissible_pair,
     random_covariance,
+    random_spd,
     restarted,
 )
 
@@ -126,6 +128,42 @@ def test_propagator_matches_ode_oracle_across_switch():
     schedule = split_schedule(symmetric_pair(), 0.1)
     for t in (0.05, 0.1, 0.6, 1.7):
         assert np.abs(propagator_at(schedule, t) - integrate_flow(schedule, t)).max() <= 1e-8
+
+
+def _fokker_planck_cases():
+    """(schedule, degree) pairs: the reference rotation, a constructed pair,
+    and seeded random admissible pairs, constant and two-piece."""
+    constructed = construct_optimal(random_covariance(np.random.default_rng(7), 3), 1.5)
+    cases = [pytest.param(Schedule.constant(rotating_pair(7.0)), 3, id="rotation-d2"),
+             pytest.param(Schedule.constant(constructed.pair), 3, id="constructed-d3")]
+    rng = np.random.default_rng(47)
+    for dim, degree in ((2, 3), (3, 3), (4, 2)):
+        cov = Covariance(0.2 * random_spd(rng, dim))   # variances O(1): decay within t = 4
+        first, second = random_admissible_pair(rng, cov), random_admissible_pair(rng, cov)
+        cases += [pytest.param(Schedule.constant(first), degree, id=f"random-d{dim}"),
+                  pytest.param(Schedule([first, second], [0.5]), degree, id=f"switched-d{dim}")]
+    return cases
+
+
+@pytest.mark.parametrize("schedule, degree", _fokker_planck_cases())
+def test_propagator_norm_is_the_fokker_planck_decay_factor(schedule, degree):
+    """||T(t, 0)|| is the L^2(f_inf^{-1}) decay factor of the Fokker-Planck
+    evolution itself, checked on its invariant subspace of polynomials (in
+    whitened coordinates) of degree 1 to ``degree``: the evolution there has
+    norm ||T||, and its degree-k block, the k-th symmetric tensor power of
+    T, has norm ||T||^k.  A polynomial subspace bounds the full L^2 norm from
+    below, so this checks the equality there and does not prove it on all
+    of L^2."""
+    for t in (0.05, 0.2, 0.5, 0.8, 1.2, 1.8, 2.5, 3.2, 4.0):
+        factor = np.linalg.norm(propagator_at(schedule, t), 2)
+        evolution, degrees = fokker_planck_evolution(schedule, t, degree)
+        keep = degrees >= 1
+        assert np.linalg.norm(evolution[np.ix_(keep, keep)], 2) \
+            == pytest.approx(factor, rel=1e-12)
+        for k in range(1, degree + 1):
+            block = degrees == k
+            assert np.linalg.norm(evolution[np.ix_(block, block)], 2) \
+                == pytest.approx(factor ** k, rel=1e-12)
 
 
 def test_propagator_contraction_bound():
@@ -780,7 +818,7 @@ def test_norm_curve_initial_slope_matches_diffusion_floor():
         h = 1e-6
         drop = (1.0 - np.linalg.norm(expm(pair.whitened_drift, h), 2)) / h
         assert drop == pytest.approx(slope, rel=1e-4)
-        assert initial_decay_rate(pair) == pytest.approx(slope, rel=1e-12)
+        assert initial_slope(pair) == pytest.approx(slope, rel=1e-12)
 
 
 def test_norm_curve_stays_below_envelope():
@@ -1025,25 +1063,25 @@ def test_best_constant_2d_is_scale_free(s):
         == pytest.approx(np.sqrt(4.0 / 3.0), rel=1e-12)
 
 
-# -------------------------------------------------------- initial decay rate
+# ------------------------------------------------------------- initial slope
 
-def test_initial_decay_rate_rank_one_certificate_is_zero():
+def test_initial_slope_rank_one_certificate_is_zero():
     cov = Covariance(np.array([1.0, 2.0]))
     cert = construct_optimal(cov, 2.0)
-    assert abs(initial_decay_rate(cert.pair)) <= 1e-12
+    assert abs(initial_slope(cert.pair)) <= 1e-12
 
 
-def test_initial_decay_rate_symmetric_pair():
+def test_initial_slope_symmetric_pair():
     cov = Covariance(np.array([20.0, 1.0]))
     pair = CoefficientPair(cov, cov.inv, np.eye(2))
-    assert initial_decay_rate(pair) == pytest.approx(0.05, rel=1e-12)
+    assert initial_slope(pair) == pytest.approx(0.05, rel=1e-12)
 
 
-def test_initial_decay_rate_finite_difference_oracle():
+def test_initial_slope_finite_difference_oracle():
     rng = np.random.default_rng(43)
     cov = random_covariance(rng, 3)
     pair = random_admissible_pair(rng, cov)
-    expected = initial_decay_rate(pair)
+    expected = initial_slope(pair)
     estimates = []
     for h in (1e-3, 5e-4):
         estimates.append((1.0 - np.linalg.norm(expm(pair.whitened_drift, h), 2)) / h)
@@ -1059,7 +1097,7 @@ def test_max_initial_decay_closed_form():
     assert np.abs(pair.drift - rate * np.eye(2)).max() <= 1e-15
     assert pair.trace_diffusion == pytest.approx(2.0, abs=1e-12)
     assert validate_pair(pair).passed
-    assert initial_decay_rate(pair) == pytest.approx(rate, rel=1e-12)
+    assert initial_slope(pair) == pytest.approx(rate, rel=1e-12)
 
 
 def test_max_initial_decay_identity_covariance():
@@ -1075,7 +1113,7 @@ def test_max_initial_decay_dominates_random_pairs():
     bound, _ = max_initial_decay(cov)
     for _ in range(100):
         pair = random_admissible_pair(rng, cov)
-        assert initial_decay_rate(pair) <= bound + 1e-9
+        assert initial_slope(pair) <= bound + 1e-9
 
 
 # -------------------------------------------------------------- tangencies
