@@ -2,17 +2,22 @@
 
 Everything here operates on plain float ``numpy`` arrays, allocates fresh
 outputs, and holds no state, so all functions are safe to call concurrently.
-The heavy lifting is delegated to LAPACK through numpy/scipy: the matrix
-exponential at one time uses scipy's scaling-and-squaring Pade code; a
-stack of times shares one real eigendecomposition of the matrix, with the
-Pade code as the fallback for (nearly) defective matrices; general spectra
-use the Hessenberg + shifted-QR path behind ``eigvals``; the controllability
-test is an orthogonal staircase of SVDs, with no eigenvalues.  ``scipy.linalg``
-is imported only by the two functions that call it, which keeps it out of
-the package's import time.
+A 2x2 exponential has a closed form (:func:`expm_2x2`), evaluated with no
+matrix library call at all; it stays accurate as the drift nears a defective
+one.  The rest of the heavy lifting is delegated to LAPACK through
+numpy/scipy: the matrix exponential at one time uses scipy's
+scaling-and-squaring Pade code; for ``d >= 3`` a stack of times shares one
+real eigendecomposition of the matrix, with the Pade code as the fallback
+for (nearly) defective matrices; general spectra use the Hessenberg +
+shifted-QR path behind ``eigvals``; the controllability test is an
+orthogonal staircase of SVDs, with no eigenvalues.  ``scipy.linalg`` is
+imported only by the two functions that call it, which keeps it out of the
+package's import time.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -107,12 +112,84 @@ def expm(a, t=1.0) -> np.ndarray:
     return scipy.linalg.expm(-_times(t, 0) * a)
 
 
+def _two_sum(x: float, y: float):
+    """``(s, e)`` with ``s = fl(x + y)`` and ``s + e = x + y`` exactly (Knuth's TwoSum)."""
+    s = x + y
+    v = s - x
+    return s, (x - (s - v)) + (y - v)
+
+
+def _two_product(x: float, y: float):
+    """``(p, e)`` with ``p = fl(x y)`` and ``p + e = x y`` exactly (Dekker's
+    two-product), for ``|x|, |y| < 1``, where the splitting cannot overflow."""
+    p = x * y
+    x_split, y_split = x * 134217729.0, y * 134217729.0
+    x_top, y_top = x_split - (x_split - x), y_split - (y_split - y)
+    x_low, y_low = x - x_top, y - y_top
+    return p, ((x_top * y_top - p) + x_top * y_low + x_low * y_top) + x_low * y_low
+
+
+def expm_2x2(a):
+    """Factor a 2x2 ``a`` once; return ``times -> (log_scale, c, s)``.
+
+    With ``mu = tr(a) / 2`` and the traceless ``N = a - mu I``, whose
+    square is ``delta2 I`` for ``delta2 = ((a00 - a11) / 2)^2 + a01 a10``,
+    ``exp(-t a) = exp(log_scale) (c I - s N)`` elementwise over a 1-D array
+    of nonnegative times ``t`` (Bernstein & So 1993; Higham 2008, ch. 10):
+    for ``delta2 <= 0``, with ``omega = sqrt(-delta2)``, ``log_scale = -mu t``,
+    ``c = cos(omega t)`` and ``s = sin(omega t) / omega`` (``t`` at
+    ``omega = 0``); for ``delta2 > 0``, with ``delta = sqrt(delta2)`` and
+    ``e = expm1(-2 delta t)``, the growth ``exp(delta t)`` goes into
+    ``log_scale = -(mu - delta) t``, and ``c = 1 + e / 2``,
+    ``s = -e / (2 delta)``, which stay within ``(1/2, 1]`` and ``[0, t]``.
+    So ``c`` and ``s`` cannot overflow, a zero time gives ``(0, 1, 0)``
+    exactly, and the form is continuous as ``delta2`` passes through 0,
+    where ``a`` is defective.  ``delta2`` is summed from TwoSum and
+    two-products of ``a`` scaled by a power of two, so it is correct to a
+    few ulps even when its terms cancel, as they do near a defective ``a``.
+    The callable's attributes hold that scaled factor, whose entries lie
+    below 1 so that nothing overflows: with ``exponent =
+    binary_exponent(a)``, ``traceless`` is ``2**-exponent N`` and
+    ``delta2`` is ``4**-exponent delta2``.
+    """
+    a = as_square(a)
+    if a.shape != (2, 2):
+        raise InvalidMatrix(f"expected a 2x2 matrix, got shape {a.shape}")
+    e = binary_exponent(a)
+    (a00, a01), (a10, a11) = np.ldexp(a, -e).tolist()
+    n, n_low = _two_sum(0.5 * a00, -0.5 * a11)   # exact halves of the scaled entries
+    square, square_low = _two_product(n, n)
+    product, product_low = _two_product(a01, a10)
+    delta2, low = _two_sum(square, product)
+    delta2 += low + square_low + product_low + 2.0 * n * n_low
+    root = math.ldexp(math.sqrt(abs(delta2)), e)
+    mu = math.ldexp(0.5 * (a00 + a11), e)
+
+    if delta2 > 0.0:
+        def factor(t):
+            t = _times(t, 1)
+            decay = np.expm1(-2.0 * root * t)
+            return -(mu - root) * t, 1.0 + 0.5 * decay, decay / (-2.0 * root)
+    else:
+        def factor(t):
+            t = _times(t, 1)
+            if root == 0.0:
+                return -mu * t, np.ones_like(t), t
+            angle = root * t
+            return -mu * t, np.cos(angle), np.sin(angle) / root
+    factor.traceless = np.array([[n, a01], [a10, -n]])
+    factor.delta2, factor.exponent = delta2, e
+    return factor
+
+
 def expm_stack(a):
     """Factor ``a`` once; return ``times -> stack of exp(-t a)``.
 
     The returned callable takes a 1-D array of nonnegative times and gives
-    the stack of ``exp(-t[k] a)`` along a new first axis.  The
-    eigendecomposition of ``a`` is turned into a real one,
+    the stack of ``exp(-t[k] a)`` along a new first axis.  A 2x2 ``a`` is
+    evaluated from the closed form of :func:`expm_2x2`, with no
+    eigendecomposition, accurate near a defective ``a`` too.  For larger
+    ``a`` the eigendecomposition is turned into a real one,
     ``a = W B W^{-1}``: each conjugate pair ``alpha +- i beta`` with unit
     eigenvector ``x +- i y`` contributes the columns ``sqrt(2) x`` and
     ``sqrt(2) y`` of ``W`` and the block ``[[alpha, beta], [-beta, alpha]]``
@@ -129,10 +206,20 @@ def expm_stack(a):
     ``a``) the callable falls back to scipy's scaling-and-squaring on the
     stack, whose slices equal scalar :func:`expm` calls bit for bit.
     Either way a zero time gives the identity exactly.  The callable's
-    ``factored`` attribute says which path it takes.
+    ``factored`` attribute says which path it takes; it is True at 2x2.
     """
     a = as_square(a)
     d = a.shape[0]
+    if d == 2:
+        factor = expm_2x2(a)
+        traceless = np.ldexp(factor.traceless, factor.exponent)
+
+        def stack(t):
+            scale, c, s = factor(t)
+            return np.exp(scale)[:, None, None] * (c[:, None, None] * np.eye(2)
+                                                   - s[:, None, None] * traceless)
+        stack.factored = True
+        return stack
     try:
         lam, v = np.linalg.eig(a)
         upper, real = lam.imag > 0, lam.imag == 0

@@ -123,11 +123,15 @@ class _Flow:
     decay rate of interest, ``M`` stays of order one over any horizon, so
     nothing it feeds (norms, their logarithms, the envelope scan) ever
     sees a number near underflow.  Each segment's shifted drift is
-    factored once, by :func:`kernel.expm_stack`, which serves every time
-    in that segment with one stacked expression.  Prefix products ``M(s)``
-    are cached at the switch times.  Norms come from
-    :func:`_log_top_singular`, in closed form for 2x2 stacks and from the
-    Gram matrices ``M^T M`` otherwise, taken in stacks of at most
+    factored once, and the prefix products ``P_i = M(s_i)`` are cached at
+    the switch times ``s_i``.  In 2D the factor is :func:`kernel.expm_2x2`:
+    on segment ``i``, ``M = exp(log_scale) (c P_i + s Q_i)`` with the fixed
+    ``Q_i = -N_i P_i``, so a log norm and its slope come from the four sums
+    of :func:`_top_singular_2x2`, linear in ``c`` and ``s``, with no matrix
+    stack and no eigendecomposition.  For ``d > 2`` the factor is
+    :func:`kernel.expm_stack`, which serves every time in a segment with
+    one stacked expression, and norms come from the Gram matrices
+    ``M^T M`` (:func:`_log_top_singular`), taken in stacks of at most
     ``_CHUNK_ELEMENTS`` matrix entries.
 
     ``cap`` is the longest horizon the problem's own time scale allows.
@@ -136,7 +140,8 @@ class _Flow:
     ``exp(-t Re lambda)`` of :func:`kernel.expm_stack` overflow near
     ``t ||a|| = 1e18``.  The cap ``1 / (eps max_i ||a_i||_F)`` keeps the
     rounding's move of those exponents within about the condition number,
-    which the factored path bounds by ``kernel.EIG_COND_MAX``; a drift
+    which the factored path bounds by ``kernel.EIG_COND_MAX``; in 2D it
+    keeps the move of the exponent ``log_scale`` within about one.  A drift
     equal to ``shift I`` has no time scale and no cap.
 
     For ``d > 2`` a call of two or more chunks runs on every CPU (see
@@ -160,12 +165,33 @@ class _Flow:
                                 for p in schedule.pairs])
         scale = max(np.linalg.norm(a) for a in self.drifts)
         self.cap = 1.0 / (np.finfo(float).eps * scale) if scale else np.inf
-        prefixes = [np.eye(self.dim)]
+        factor = kernel.expm_2x2 if self.dim == 2 else kernel.expm_stack
+        self.prefixes, self.images, self.sums = [np.eye(self.dim)], [], []
         with np.errstate(all="ignore"):   # a prefix that overflows shows in log_norms
-            self.exps = [kernel.expm_stack(a) for a in self.drifts]
-            for exp, lo, hi in zip(self.exps, self.starts, self.starts[1:]):
-                prefixes.append(exp(np.array([hi - lo]))[0] @ prefixes[-1])
-        self.prefixes = prefixes
+            self.exps = [factor(a) for a in self.drifts]
+            for i, exp in enumerate(self.exps):
+                if self.dim == 2:
+                    traceless = np.ldexp(exp.traceless, exp.exponent)
+                    self.images.append(-traceless @ self.prefixes[i])
+                    self.sums.append(np.array([_four_sums(self.prefixes[i]),
+                                               _four_sums(self.images[i])]))
+                if i + 1 < len(self.exps):
+                    step = np.array([self.starts[i + 1] - self.starts[i]])
+                    self.prefixes.append(self._segment(i, step)[0])
+
+    def _segment(self, i: int, tau: np.ndarray) -> np.ndarray:
+        """Stack of the weighted M(t) at the times ``t = starts[i] + tau``
+        of segment ``i``.  In 2D that is ``exp(log_scale) (c P + s Q)``, with
+        the prefix ``P``, ``Q = -N P`` and the factor of
+        :func:`kernel.expm_2x2`."""
+        if self.dim == 2:
+            scale, c, s = self.exps[i](tau)
+            return np.exp(scale)[:, None, None] * (c[:, None, None] * self.prefixes[i]
+                                                   + s[:, None, None] * self.images[i])
+        m = self.exps[i](tau)
+        if i > 0:   # the first segment's prefix is the identity
+            m = (m.reshape(-1, self.dim) @ self.prefixes[i]).reshape(m.shape)
+        return m
 
     def at(self, times: np.ndarray, segment: Optional[np.ndarray] = None) -> np.ndarray:
         """Stack of the weighted M(t) for a 1-D array of times ``t >= 0``;
@@ -173,12 +199,8 @@ class _Flow:
         if segment is None:
             segment = np.searchsorted(self.starts[1:], times, side="right")
         out = np.empty((len(times), self.dim, self.dim))
-        for i in np.unique(segment):
-            hit = segment == i
-            m = self.exps[i](times[hit] - self.starts[i])
-            if i > 0:   # the first segment's prefix is the identity
-                m = (m.reshape(-1, self.dim) @ self.prefixes[i]).reshape(m.shape)
-            out[hit] = m
+        for i, hit in _by_segment(segment):
+            out[hit] = self._segment(i, times[hit] - self.starts[i])
         return out
 
     def check_horizon(self, horizon: float, name: str) -> None:
@@ -195,17 +217,44 @@ class _Flow:
         ``u`` is the top left singular vector of ``M(t)``.  At a switch time
         the slope is the right derivative, and where the top two singular
         values cross it is the slope of the branch that
-        :func:`_log_top_singular` picks.  Refuses a ``horizon`` as
+        :func:`_top_singular_2x2` or :func:`_log_top_singular` picks.  Refuses a ``horizon`` as
         :meth:`check_horizon` does, and a weighted propagator that is not
-        finite (scaling and squaring on a nearly defective drift can
-        overflow below the cap), with :class:`InvalidInterval` naming the
-        horizon ``name``, not a warning.
+        finite (from d = 3 on, scaling and squaring on a nearly defective
+        drift can overflow below the cap), with :class:`InvalidInterval`
+        naming the horizon ``name``, not a warning.
         """
         self.check_horizon(horizon, name)
         segment = np.searchsorted(self.starts[1:], times, side="right")
         logs = np.empty(len(times))
         grads = np.empty(len(times)) if slopes else None
-        threads = (_share_plan() if self.dim > 2 else None) or 1
+        if self.dim == 2:
+            self._log_norms_2x2(times, segment, logs, grads)
+        else:
+            self._log_norms_stacked(times, segment, logs, grads)
+        if not (logs < np.inf).all():   # nan or +inf; -inf is a norm underflowed to 0
+            raise InvalidInterval(f"{name} {horizon:.6g} is too long for this problem: "
+                                  "the weighted propagator is not finite within it")
+        return (logs, grads) if slopes else logs
+
+    def _log_norms_2x2(self, times, segment, logs, grads) -> None:
+        """Fill ``logs`` (and ``grads`` unless ``None``) at d = 2, with no
+        matrix formed.  On segment ``i``, ``M = exp(log_scale) (c P + s Q)``
+        (:meth:`_segment`), so the four sums of :func:`_top_singular_2x2`
+        are ``c`` times those of ``P`` plus ``s`` times those of ``Q``."""
+        with np.errstate(all="ignore"):
+            for i, hit in _by_segment(segment):
+                scale, c, s = self.exps[i](times[hit] - self.starts[i])
+                sums = np.stack((c, s), axis=1) @ self.sums[i]
+                log, u = _top_singular_2x2(*sums.T, left_vectors=grads is not None)
+                logs[hit] = scale + log
+                if grads is not None:
+                    grads[hit] = -np.einsum("ni,ij,nj->n", u, self.drifts[i], u)
+
+    def _log_norms_stacked(self, times, segment, logs, grads) -> None:
+        """Fill ``logs`` (and ``grads`` unless ``None``) at d > 2 from stacks
+        of ``M(t)``, in chunks of at most ``_CHUNK_ELEMENTS`` entries over
+        all threads, split as the class docstring says."""
+        threads = _share_plan() or 1
         step = max(1, _CHUNK_ELEMENTS // (threads * self.dim**2))
         chunks = range(0, len(times), step)
 
@@ -214,18 +263,26 @@ class _Flow:
                 for k in share:
                     part = slice(k, k + step)
                     m = self.at(times[part], segment[part])
-                    logs[part], u = _log_top_singular(m, left_vectors=slopes)
-                    if slopes:
+                    logs[part], u = _log_top_singular(m, left_vectors=grads is not None)
+                    if grads is not None:
                         grads[part] = -np.einsum("ni,nij,nj->n", u, self.drifts[segment[part]], u)
 
         if threads > 1 and len(chunks) > 1:
             _run_shares(fill, np.array_split(chunks, min(threads, len(chunks))))
         else:
             fill(chunks)
-        if not (logs < np.inf).all():   # nan or +inf; -inf is a norm underflowed to 0
-            raise InvalidInterval(f"{name} {horizon:.6g} is too long for this problem: "
-                                  "the weighted propagator is not finite within it")
-        return (logs, grads) if slopes else logs
+
+
+def _by_segment(segment: np.ndarray):
+    """``(i, indices)`` for each segment ``i`` that the array ``segment``
+    names.  The loop runs over the span of segments the call touches, not
+    the whole schedule, and with no ``np.unique``, whose sort costs more
+    than the loop on a scan's few segments."""
+    if segment.size:
+        for i in range(segment.min(), segment.max() + 1):
+            hit = np.flatnonzero(segment == i)
+            if hit.size:
+                yield int(i), hit
 
 
 @functools.cache
@@ -330,34 +387,53 @@ def _run_shares(work, shares):
             raise failure
 
 
-def _log_top_singular(m: np.ndarray, left_vectors: bool = False):
-    """``log`` of the top singular value of each matrix in the stack ``m``,
-    and with ``left_vectors`` the top left singular vectors (else ``None``).
+def _four_sums(m: np.ndarray):
+    """``(a + d, a - d, b - c, b + c)`` of ``[[a, b], [c, d]]``, or of each
+    matrix of a stack of them."""
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    return a + d, a - d, b - c, b + c
 
-    A 2x2 stack ``[[a, b], [c, d]]`` is done in closed form, with no
-    LAPACK call: the top singular value is
+
+def _top_singular_2x2(plus, minus, skew, sym, left_vectors: bool = False):
+    """``log`` of the top singular value of ``[[a, b], [c, d]]`` from its
+    four sums (:func:`_four_sums`), and with ``left_vectors`` the top left
+    singular vectors (else ``None``), with no LAPACK call.
+
+    The top singular value is
     ``(hypot(a + d, b - c) + hypot(a - d, b + c)) / 2``, a sum of
     non-negative terms, and the top left singular vector is
     ``(cos phi, sin phi)`` with
     ``phi = atan2(2 (a c + b d), a^2 + b^2 - c^2 - d^2) / 2``, whose
     arguments are formed from the same four sums as
     ``(a + d)(b + c) - (a - d)(b - c)`` and
-    ``(a + d)(a - d) + (b - c)(b + c)``.  Other stacks take the top
-    eigenpair of the Gram matrices ``M^T M``, and ``u = M v / ||M v||``
-    from its eigenvector ``v``.
+    ``(a + d)(a - d) + (b - c)(b + c)``.
     """
-    if m.shape[-1] == 2:
-        a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
-        plus, minus, skew, sym = a + d, a - d, b - c, b + c
-        logs = np.log(0.5 * (np.hypot(plus, skew) + np.hypot(minus, sym)))
-        if not left_vectors:
-            return logs, None
-        phi = 0.5 * np.arctan2(plus * sym - minus * skew, plus * minus + skew * sym)
-        return logs, np.stack((np.cos(phi), np.sin(phi)), axis=1)
-    gram = np.swapaxes(m, 1, 2) @ m
+    logs = np.log(0.5 * (np.hypot(plus, skew) + np.hypot(minus, sym)))
     if not left_vectors:
-        return 0.5 * np.log(np.linalg.eigvalsh(gram)[:, -1]), None
-    eigenvalues, vectors = np.linalg.eigh(gram)
+        return logs, None
+    phi = 0.5 * np.arctan2(plus * sym - minus * skew, plus * minus + skew * sym)
+    return logs, np.stack((np.cos(phi), np.sin(phi)), axis=1)
+
+
+def _log_top_singular(m: np.ndarray, left_vectors: bool = False):
+    """``log`` of the top singular value of each matrix in the stack ``m``,
+    and with ``left_vectors`` the top left singular vectors (else ``None``),
+    from the top eigenpair of the Gram matrices ``M^T M``, with
+    ``u = M v / ||M v||`` from its eigenvector ``v``.  The flow takes this
+    route for ``d > 2``; 2x2 matrices have the closed form of
+    :func:`_top_singular_2x2`.  Where LAPACK fails on a stack that is not
+    finite, the logs and vectors are nan, which :meth:`_Flow.log_norms`
+    refuses; a failure on a finite stack is raised.
+    """
+    gram = np.swapaxes(m, 1, 2) @ m
+    try:
+        if not left_vectors:
+            return 0.5 * np.log(np.linalg.eigvalsh(gram)[:, -1]), None
+        eigenvalues, vectors = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError:
+        if np.isfinite(m).all():
+            raise
+        return np.full(len(m), np.nan), (np.full(m.shape[:2], np.nan) if left_vectors else None)
     u = (m @ vectors[:, :, -1:])[:, :, 0]
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     return 0.5 * np.log(eigenvalues[:, -1]), u
@@ -634,25 +710,34 @@ def tangency_time(source: Union[Schedule, CoefficientPair], rate: float) -> floa
 def best_constant_2d(pair: CoefficientPair) -> float:
     """Closed-form sharp envelope constant for a 2x2 pair.
 
-    Valid when the whitened drift is diagonalisable with both eigenvalues on
-    the same vertical line (equal real parts, the generic situation for the
-    constructed pairs).  With ``alpha`` the modulus of the Hermitian inner
-    product of the two normalised eigenvectors, the minimal constant is
-    ``sqrt((1 + alpha) / (1 - alpha))``.
+    Valid when the whitened drift has a complex conjugate pair of
+    eigenvalues ``mu +- i omega`` (so both lie on one vertical line), the
+    generic situation for the constructed pairs.  With ``alpha`` the
+    modulus of the Hermitian inner product of the two normalised
+    eigenvectors, the minimal constant is ``sqrt((1 + alpha) / (1 - alpha))``.
+    It is computed with no eigendecomposition, from the traceless part
+    ``N = [[n, p], [q, -n]]`` and ``omega^2 = -delta2`` of
+    :func:`kernel.expm_2x2`, whose error-free ``delta2`` keeps it accurate
+    however near the drift is to a defective one: the eigenvector of
+    ``i omega`` is ``(p, i omega - n)``, so with ``S = p^2 + n^2`` the
+    constant is ``(S + omega^2 + hypot(S - omega^2, 2 n omega)) / (2 |p| omega)``,
+    a sum of non-negative terms.  A scalar drift (``N = 0``) is normal and
+    gives 1; real eigenvalues, distinct or defective (``delta2 >= 0``),
+    raise :class:`NotApplicable2D`.
     """
     if pair.dim != 2:
         raise NotApplicable2D("closed form requires dimension 2")
-    ct = pair.whitened_drift
-    eigenvalues, vectors = np.linalg.eig(ct)
-    scale = float(np.abs(eigenvalues).max())
-    if abs(eigenvalues[0].real - eigenvalues[1].real) > 1e-9 * scale:
-        raise NotApplicable2D("eigenvalues must share their real part")
-    v1 = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
-    v2 = vectors[:, 1] / np.linalg.norm(vectors[:, 1])
-    alpha = abs(np.vdot(v1, v2))
-    if alpha >= 1.0 - 1e-12:
-        raise NotApplicable2D("whitened drift is not diagonalisable")
-    return float(np.sqrt((1.0 + alpha) / (1.0 - alpha)))
+    factor = kernel.expm_2x2(pair.whitened_drift)
+    (n, p), (q, _) = factor.traceless.tolist()   # scaled, as factor.delta2
+    if n == p == q == 0.0:
+        return 1.0
+    if factor.delta2 >= 0.0:
+        raise NotApplicable2D("the whitened drift has real eigenvalues: its eigenvalues "
+                              "must be a complex conjugate pair")
+    omega2, square = -factor.delta2, p * p + n * n
+    omega = np.sqrt(omega2)
+    return float((square + omega2 + np.hypot(square - omega2, 2.0 * n * omega))
+                 / (2.0 * abs(p) * omega))
 
 
 def max_initial_decay(covariance: Covariance):

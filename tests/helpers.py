@@ -54,6 +54,21 @@ def initial_slope(pair):
     return float(np.linalg.eigvalsh(0.5 * (ct + ct.T))[0])
 
 
+def exact_constant_2d(drift):
+    """Independent oracle for the closed-form 2D constant: sqrt((1 + alpha)
+    / (1 - alpha)), with alpha the modulus of the Hermitian inner product of
+    the unit eigenvectors of ``drift``, from 60-digit mpmath eigenvectors
+    of the same float matrix."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        _, vectors = mpmath.eig(mpmath.matrix(np.asarray(drift).tolist()))
+        v1, v2 = vectors[:, 0], vectors[:, 1]
+        alpha = abs(sum(mpmath.conj(v1[i]) * v2[i] for i in range(2))) \
+            / (mpmath.norm(v1) * mpmath.norm(v2))
+        return float(mpmath.sqrt((1 + alpha) / (1 - alpha)))
+
+
 def random_stable(rng, dim, margin=0.5):
     """Random matrix with spectrum shifted into the open right half-plane."""
     a = rng.normal(size=(dim, dim))

@@ -15,7 +15,7 @@ from fpopt.benchmarks import rotating_pair
 from fpopt.cli import main
 from fpopt.serialize import (ProblemFormatError, certificate_to_dict, dump_json, load_problem,
                              problem_from_dict)
-from helpers import blas_threads, certificate_skew, hold_is_free
+from helpers import blas_threads, certificate_skew, exact_constant_2d, hold_is_free
 
 EPS = 0.05
 
@@ -475,12 +475,26 @@ def test_curve_horizon_beyond_the_time_scale_exit_2(tmp_path, capsys, flags, doc
     assert message in err
 
 
+def near_defective_doc(dim):
+    """A mu = 1 + 1e-9 layer of duration 1e11, then the mu = 7 rotation; at
+    dim = 3 each pair gets a third, decoupled coordinate with C = D = 1."""
+    def pair(mu):
+        matrices = rotating_matrices(mu)
+        if dim == 2:
+            return matrices
+        c = np.zeros((3, 3))
+        c[:2, :2], c[2, 2] = matrices["C"], 1.0
+        return {"C": c.tolist(), "D": {"diag": [0.0, 2.0, 1.0]}}
+
+    return {"K": {"diag": [1.0 / EPS] + [1.0] * (dim - 1)},
+            "schedule": [{"pair": pair(1.0 + 1e-9), "duration": 1e11}, {"pair": pair(7.0)}]}
+
+
 def test_near_defective_segment_overflow_exit_2(tmp_path):
-    # scaling and squaring on mu = 1 + 1e-9 overflows long before the cap of
-    # about 2.25e15: refused naming the horizon, with no warning on the way
-    doc = anisotropic_doc({"schedule": [{"pair": rotating_matrices(1.0 + 1e-9), "duration": 1e11},
-                                        {"pair": rotating_matrices(7.0)}]})
-    path = write_json(tmp_path / "p.json", doc)
+    # from d = 3 on, scaling and squaring on mu = 1 + 1e-9 overflows long
+    # before the cap of about 2.25e15: refused naming the horizon, with no
+    # warning on the way
+    path = write_json(tmp_path / "p.json", near_defective_doc(3))
     for argv in (["curve", path, "--samples", "50", "--tmax", "10"],
                  ["compare", path, "--rate", "1"]):
         done = run_strict(*argv)
@@ -488,6 +502,38 @@ def test_near_defective_segment_overflow_exit_2(tmp_path):
         assert not done.stdout
         assert done.stderr.startswith("fpopt: envelope horizon 4e+11 ")
         assert done.stderr.count("\n") == 1
+
+
+def test_near_defective_segment_answers_in_2d(tmp_path):
+    # the 2x2 closed form is accurate there: compare's constant is the
+    # supremum on the first layer, the closed-form constant of the loaded
+    # whitened drift
+    pytest.importorskip("mpmath")
+    path = write_json(tmp_path / "p.json", near_defective_doc(2))
+    curve = run_strict("curve", path, "--samples", "50", "--tmax", "10")
+    assert curve.returncode == 0 and not curve.stderr
+    done = run_strict("compare", path, "--rate", "1")
+    assert done.returncode == 0 and not done.stderr
+    constant = float(done.stdout.splitlines()[1].split("\t")[1])
+    exact = exact_constant_2d(load_problem(path).schedule.pairs[0].whitened_drift)
+    assert constant == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_2d_commands_leave_scipy_unloaded(tmp_path):
+    # every 2x2 exponential is the closed form: reproducing the figures and
+    # a curve of the near-defective schedule import no scipy
+    path = write_json(tmp_path / "p.json", near_defective_doc(2))
+    calls = [["reproduce", f"fig{i}", "--outdir", str(tmp_path / f"fig{i}")] for i in range(1, 5)]
+    calls.append(["curve", path, "--samples", "50", "--out", str(tmp_path / "curve.csv")])
+    code = ("import sys; from fpopt.cli import main\n"
+            f"assert all(main(argv) == 0 for argv in {calls!r})\n"
+            "print('scipy' in sys.modules)")
+    import fpopt
+
+    src = os.path.dirname(os.path.dirname(fpopt.__file__))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_rate_whose_envelope_horizon_overflows_exit_2(tmp_path):

@@ -19,7 +19,7 @@ from fpopt import (
 )
 from fpopt.benchmarks import rotating_pair
 from fpopt.kernel import symmetry_defect
-from fpopt.propagator import _log_top_singular
+from fpopt.propagator import _four_sums, _log_top_singular, _top_singular_2x2
 from helpers import random_stable
 
 
@@ -145,12 +145,16 @@ def test_symmetry_defects_at_extreme_magnitudes():
 
 
 # ------------------------------------------------------- spectral norm
-# The package's one spectral norm is the log top singular value of a stack,
-# propagator._log_top_singular: a closed form for 2x2 matrices, the top
-# eigenvalue of the Gram matrix otherwise.
+# The package's spectral norm is the log top singular value of a stack:
+# the closed form propagator._top_singular_2x2 for 2x2 matrices, and
+# propagator._log_top_singular, the top eigenvalue of the Gram matrix,
+# otherwise.
 
 def _top_singular(m):
-    return np.exp(_log_top_singular(np.asarray(m, dtype=float)[None])[0][0])
+    m = np.asarray(m, dtype=float)[None]
+    if m.shape[-1] == 2:
+        return np.exp(_top_singular_2x2(*_four_sums(m))[0][0])
+    return np.exp(_log_top_singular(m)[0][0])
 
 
 def test_spectral_norm_identity_and_diagonal():

@@ -41,13 +41,15 @@ from fpopt.propagator import (
     _REFINE_RTOL,
     _Flow,
     _as_schedule,
-    _log_top_singular,
+    _four_sums,
     _refine_peaks,
+    _top_singular_2x2,
     write_columns,
 )
 from fpopt.text import _FORMAT_CHUNK
 from helpers import (
     blas_threads,
+    exact_constant_2d,
     fokker_planck_evolution,
     hold_is_free,
     initial_slope,
@@ -227,7 +229,6 @@ def test_flow_norms_match_mpmath_on_fast_rotation():
     mpmath = pytest.importorskip("mpmath")
     pair = rotating_pair(13.8)
     flow = _Flow(Schedule.constant(pair))
-    assert flow.exps[0].factored
     times = np.linspace(0.0, 20.0, 41)
     values = np.exp(flow.log_norms(times, 20.0, "t_max"))
     with mpmath.workdps(40):
@@ -254,19 +255,46 @@ def test_curve_norms_match_mpmath_at_long_horizons(rate):
 
 
 @pytest.mark.parametrize("mu", [1.0, 1.0 + 1e-9])
-def test_flow_defective_drift_takes_scipy_path(mu):
+def test_flow_defective_drift_matches_mpmath(mu):
     # mu = 1 is the critically damped whitened drift [[0, -1], [1, 2]], with
-    # one eigenvector for its double eigenvalue; just above it, cond(V) ~ 1e4
+    # one eigenvector for its double eigenvalue; just above it, cond(V) ~ 1e4.
+    # The 2x2 closed form needs no eigenvectors: 60-digit mpmath on the same
+    # float drift is the reference
+    mpmath = pytest.importorskip("mpmath")
     pair = rotating_pair(mu)
     drift = pair.whitened_drift
     schedule = Schedule.constant(pair)
     flow = _Flow(schedule)
-    assert not flow.exps[0].factored
     times = np.array([0.0, 0.05, 0.4, 1.7, 6.0])
     stack = flow.at(times)
-    assert np.array_equal(stack, np.array([kernel.expm(drift, t) for t in times]))
+    with mpmath.workdps(60):
+        exact = [mpmath.expm(-mpmath.mpf(t) * mpmath.matrix(drift.tolist())) for t in times]
+        exact = np.array([[[float(x) for x in row] for row in m.tolist()] for m in exact])
+    for product, reference in zip(stack, exact):
+        assert np.abs(product - reference).max() <= 1e-13 * np.abs(reference).max()
     for t, product in zip(times, stack):
         assert np.abs(product - integrate_flow(schedule, t)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_flow_near_defective_log_norms_match_mpmath(k):
+    # rotating_pair(1 + 10**-k) weighted at rate 1 has delta2 = 1 - mu^2,
+    # which cancels to about -2 10**-k.  Summed error-free, it keeps the log
+    # norm within 64 eps (1 + omega t) of 60-digit mpmath on the same shifted
+    # float drift, from t = 1 out to the cap (the worst ratio is about 43, at
+    # k = 6); with delta2 in plain doubles the ratio passes 100 from k = 3 on
+    mpmath = pytest.importorskip("mpmath")
+    flow = _Flow(Schedule.constant(rotating_pair(1.0 + 10.0**-k)), shift=1.0)
+    times = np.append(10.0 ** np.arange(16), flow.cap)
+    logs = flow.log_norms(times, flow.cap, "t_max")
+    omega = np.sqrt(abs(1.0 - (1.0 + 10.0**-k) ** 2))
+    with mpmath.workdps(60):
+        drift = mpmath.matrix(flow.drifts[0].tolist())
+        exact = [mpmath.log(max(mpmath.svd_r(mpmath.expm(-mpmath.mpf(t) * drift),
+                                             compute_uv=False)))
+                 for t in times]
+    bound = 64.0 * np.finfo(float).eps * (1.0 + omega * times)
+    assert np.all(np.abs(logs - np.array(exact, dtype=float)) <= bound)
 
 
 def _gram_top(m):
@@ -292,11 +320,11 @@ def _random_2x2_stacks(rng):
 def test_closed_form_2x2_norms_match_gram_route():
     rng = np.random.default_rng(7)
     for m in _random_2x2_stacks(rng):
-        logs, _ = _log_top_singular(m)
+        logs, _ = _top_singular_2x2(*_four_sums(m))
         reference, _ = _gram_top(m)
         np.testing.assert_allclose(logs, reference, rtol=1e-15, atol=4e-15)
     # t = 0: the identity has log norm exactly 0
-    logs, u = _log_top_singular(np.eye(2)[None], left_vectors=True)
+    logs, u = _top_singular_2x2(*_four_sums(np.eye(2)[None]), left_vectors=True)
     assert logs[0] == 0.0 and np.all(np.isfinite(u))
     flow = _Flow(Schedule.constant(rotating_pair(7.0)), shift=1.0)
     assert flow.log_norms(np.array([0.0, 0.5]), 0.5, "t_max")[0] == 0.0
@@ -309,7 +337,7 @@ def test_closed_form_2x2_slopes_match_gram_route():
         sigma = np.linalg.svd(m, compute_uv=False)
         separated = sigma[:, 0] > (1.0 + 1e-6) * sigma[:, 1]
         assert 300 <= np.count_nonzero(separated) < len(m)
-        _, u = _log_top_singular(m[separated], left_vectors=True)
+        _, u = _top_singular_2x2(*_four_sums(m[separated]), left_vectors=True)
         _, reference = _gram_top(m[separated])
         # the vectors agree up to sign, so their projectors agree
         projector = u[:, :, None] * u[:, None, :]
@@ -632,20 +660,24 @@ def test_import_leaves_the_thread_pool_unloaded():
 
 def count_evaluations(monkeypatch):
     """Record every time the flow evaluates: one list per segment's
-    factored exponential, of arrays of times since the segment's start."""
+    factored exponential (``kernel.expm_2x2`` at d = 2, else
+    ``kernel.expm_stack``), of arrays of times since the segment's start."""
     stacks = []
-    factor = kernel.expm_stack
 
-    def counting_stack(a):
-        stack, evaluated = factor(a), []
-        stacks.append(evaluated)
+    def counting(factor):
+        def counting_factor(a):
+            exp, evaluated = factor(a), []
+            stacks.append(evaluated)
 
-        def counted(t):
-            evaluated.append(np.array(t, dtype=float))
-            return stack(t)
-        return counted
+            @functools.wraps(exp)   # and its attributes
+            def counted(t):
+                evaluated.append(np.array(t, dtype=float))
+                return exp(t)
+            return counted
+        return counting_factor
 
-    monkeypatch.setattr(kernel, "expm_stack", counting_stack)
+    for name in ("expm_2x2", "expm_stack"):
+        monkeypatch.setattr(kernel, name, counting(getattr(kernel, name)))
     return stacks
 
 
@@ -955,10 +987,11 @@ def test_sharp_constant_split_schedule_at_tangency():
 
 
 def test_curve_adds_no_tangency_a_rounding_from_the_switch():
-    # fig4's fp5 schedule switches at its first pair's tangency, and its
-    # own refined tangency lies an ulp or two from the switch time
+    # fig4's fp5 schedule switches at its first pair's tangency; switched
+    # one ulp later, its own refined tangency lies a rounding from the
+    # switch time, not on it
     fast = rotating_pair(11.0)
-    switch = tangency_time(fast, 1.0)
+    switch = np.nextafter(tangency_time(fast, 1.0), np.inf)
     schedule = split_schedule(fast, switch)
     first = tangency_time(schedule, 1.0)
     assert first != switch and abs(first - switch) <= _REFINE_RTOL * first
@@ -1052,6 +1085,35 @@ def test_best_constant_2d_preconditions():
     cov3 = Covariance(np.eye(3))
     with pytest.raises(NotApplicable2D):
         best_constant_2d(CoefficientPair(cov3, np.eye(3), np.eye(3)))
+
+
+@pytest.mark.parametrize("mu", [7.0] + [1.0 + 10.0**-k for k in (1, 3, 6, 9, 12, 14)])
+def test_best_constant_2d_near_defective_matches_mpmath(mu):
+    # near a defective drift, eigenvectors in doubles lose up to half the
+    # digits (1.7e-7 relative at 1 + 1e-9); the closed form keeps them all
+    pytest.importorskip("mpmath")
+    pair = rotating_pair(mu)
+    assert best_constant_2d(pair) == pytest.approx(exact_constant_2d(pair.whitened_drift),
+                                                   rel=4 * np.finfo(float).eps, abs=0)
+
+
+def test_2x2_paths_call_no_matrix_library(monkeypatch):
+    # the closed forms need no eigendecomposition, condition number, inverse
+    # or scipy; the spectral gap keeps its own eigvals call
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix library call on a 2x2 path")
+
+    for name in ("eig", "cond", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setitem(sys.modules, "scipy", None)   # an import of scipy fails
+    pair = rotating_pair(1.0 + 1e-9)
+    assert kernel.expm_stack(pair.whitened_drift)(np.array([0.0, 1.0])).shape == (2, 2, 2)
+    flow = _Flow(split_schedule(pair, 0.1), shift=1.0)
+    assert np.all(np.isfinite(flow.log_norms(np.linspace(0.0, 1.0, 9), 1.0, "t_max")))
+    assert best_constant_2d(pair) > 1.0
+    # the defective rotation still has no supremum at its gap
+    with pytest.raises(RateTooLarge):
+        sharp_constant(rotating_pair(1.0), spectral_gap(rotating_pair(1.0)))
 
 
 @pytest.mark.parametrize("s", [1.0, 1e-10])
