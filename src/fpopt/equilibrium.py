@@ -279,5 +279,8 @@ def validate_pair(pair: CoefficientPair) -> ValidationReport:
 
 def spectral_gap(pair: CoefficientPair) -> float:
     """Smallest real part over the drift spectrum: the sharp asymptotic rate.
-    Taken from the whitened drift, which every norm computation runs on."""
+    Taken from the whitened drift, which every norm computation runs on; in
+    2D from its closed-form factor (:func:`kernel.expm_2x2`), with no LAPACK call."""
+    if pair.dim == 2:
+        return kernel.expm_2x2(pair.whitened_drift).gap
     return float(np.min(kernel.general_eigenvalues(pair.whitened_drift).real))

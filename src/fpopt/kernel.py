@@ -8,11 +8,11 @@ one.  The rest of the heavy lifting is delegated to LAPACK through
 numpy/scipy: the matrix exponential at one time uses scipy's
 scaling-and-squaring Pade code; for ``d >= 3`` a stack of times shares one
 real eigendecomposition of the matrix, with the Pade code as the fallback
-for (nearly) defective matrices; general spectra use the Hessenberg +
-shifted-QR path behind ``eigvals``; the controllability test is an
-orthogonal staircase of SVDs, with no eigenvalues.  ``scipy.linalg`` is
-imported only by the two functions that call it, which keeps it out of the
-package's import time.
+for (nearly) defective matrices.  Either factor carries its matrix's
+spectral ``gap``, so no caller solves for it again.  General spectra use
+the Hessenberg + shifted-QR path behind ``eigvals``; the controllability
+test is an orthogonal staircase of SVDs.  ``scipy.linalg`` is imported
+only by the two functions that call it, keeping it out of import time.
 """
 
 from __future__ import annotations
@@ -150,7 +150,10 @@ def expm_2x2(a):
     The callable's attributes hold that scaled factor, whose entries lie
     below 1 so that nothing overflows: with ``exponent =
     binary_exponent(a)``, ``traceless`` is ``2**-exponent N`` and
-    ``delta2`` is ``4**-exponent delta2``.
+    ``delta2`` is ``4**-exponent delta2``.  ``gap`` is the smallest real
+    part of the eigenvalues of ``a``: ``mu``, or ``mu - delta`` for
+    ``delta2 > 0``, taken as ``det(a) / (mu + delta)`` when ``mu > 0``,
+    with ``det(a)`` from two-products, so that no cancellation costs digits.
     """
     a = as_square(a)
     if a.shape != (2, 2):
@@ -162,8 +165,12 @@ def expm_2x2(a):
     product, product_low = _two_product(a01, a10)
     delta2, low = _two_sum(square, product)
     delta2 += low + square_low + product_low + 2.0 * n * n_low
-    root = math.ldexp(math.sqrt(abs(delta2)), e)
-    mu = math.ldexp(0.5 * (a00 + a11), e)
+    half_trace, delta = 0.5 * (a00 + a11), math.sqrt(abs(delta2))
+    gap = half_trace if delta2 <= 0.0 else half_trace - delta
+    if delta2 > 0.0 and half_trace > 0.0:   # as det / (mu + delta): no cancellation
+        diagonal, diagonal_low = _two_product(a00, a11)
+        gap = ((diagonal - product) + (diagonal_low - product_low)) / (half_trace + delta)
+    mu, root, gap = math.ldexp(half_trace, e), math.ldexp(delta, e), math.ldexp(gap, e)
 
     if delta2 > 0.0:
         def factor(t):
@@ -178,7 +185,7 @@ def expm_2x2(a):
             angle = root * t
             return -mu * t, np.cos(angle), np.sin(angle) / root
     factor.traceless = np.array([[n, a01], [a10, -n]])
-    factor.delta2, factor.exponent = delta2, e
+    factor.delta2, factor.exponent, factor.gap = delta2, e, gap
     return factor
 
 
@@ -186,40 +193,30 @@ def expm_stack(a):
     """Factor ``a`` once; return ``times -> stack of exp(-t a)``.
 
     The returned callable takes a 1-D array of nonnegative times and gives
-    the stack of ``exp(-t[k] a)`` along a new first axis.  A 2x2 ``a`` is
-    evaluated from the closed form of :func:`expm_2x2`, with no
-    eigendecomposition, accurate near a defective ``a`` too.  For larger
-    ``a`` the eigendecomposition is turned into a real one,
-    ``a = W B W^{-1}``: each conjugate pair ``alpha +- i beta`` with unit
-    eigenvector ``x +- i y`` contributes the columns ``sqrt(2) x`` and
-    ``sqrt(2) y`` of ``W`` and the block ``[[alpha, beta], [-beta, alpha]]``
-    of ``B``, and each real eigenvalue its unit eigenvector and itself.
-    The ``sqrt(2)`` makes ``W`` a unitary transform of the unit complex
-    eigenvector matrix ``V``, so ``cond(W) = cond(V)``.  Since
-    ``exp(-t B)`` is made of ``exp(-alpha t)`` times rotations by
-    ``beta t``, ``W exp(-t B) W^{-1}`` is a sum of fixed real terms, one
-    per eigenvalue, weighted by ``exp(-alpha t) cos(beta t)``,
-    ``exp(-alpha t) sin(beta t)`` or ``exp(-lambda t)``; the whole stack
-    is then one real matrix product of those weights with the terms.
-    When ``cond(W)`` is at most ``EIG_COND_MAX`` the slices are accurate
-    to about ``cond(W) * eps``; otherwise (defective or nearly defective
-    ``a``) the callable falls back to scipy's scaling-and-squaring on the
-    stack, whose slices equal scalar :func:`expm` calls bit for bit.
-    Either way a zero time gives the identity exactly.  The callable's
-    ``factored`` attribute says which path it takes; it is True at 2x2.
+    the stack of ``exp(-t[k] a)`` along a new first axis.  The
+    eigendecomposition is turned into a real one, ``a = W B W^{-1}``: each
+    conjugate pair ``alpha +- i beta`` with unit eigenvector ``x +- i y``
+    contributes the columns ``sqrt(2) x`` and ``sqrt(2) y`` of ``W`` and the
+    block ``[[alpha, beta], [-beta, alpha]]`` of ``B``, and each real
+    eigenvalue its unit eigenvector and itself.  The ``sqrt(2)`` makes
+    ``W`` a unitary transform of the unit complex eigenvector matrix ``V``,
+    so ``cond(W) = cond(V)``.  Since ``exp(-t B)`` is made of
+    ``exp(-alpha t)`` times rotations by ``beta t``, ``W exp(-t B) W^{-1}``
+    is a sum of fixed real terms, one per eigenvalue, weighted by
+    ``exp(-alpha t) cos(beta t)``, ``exp(-alpha t) sin(beta t)`` or
+    ``exp(-lambda t)``; the whole stack is then one real matrix product of
+    those weights with the terms.  When ``cond(W)`` is at most
+    ``EIG_COND_MAX`` the slices are accurate to about ``cond(W) * eps``;
+    otherwise (defective or nearly defective ``a``) the callable falls back
+    to scipy's scaling-and-squaring on the stack, whose slices equal scalar
+    :func:`expm` calls bit for bit.  Either way a zero time gives the
+    identity exactly.  The callable's ``factored`` says which path it takes,
+    and ``gap`` is the smallest real part of the eigenvalues, from
+    :func:`general_eigenvalues` if ``eig`` fails (:class:`EigenFailure` if
+    that fails too).
     """
     a = as_square(a)
     d = a.shape[0]
-    if d == 2:
-        factor = expm_2x2(a)
-        traceless = np.ldexp(factor.traceless, factor.exponent)
-
-        def stack(t):
-            scale, c, s = factor(t)
-            return np.exp(scale)[:, None, None] * (c[:, None, None] * np.eye(2)
-                                                   - s[:, None, None] * traceless)
-        stack.factored = True
-        return stack
     try:
         lam, v = np.linalg.eig(a)
         upper, real = lam.imag > 0, lam.imag == 0
@@ -229,7 +226,7 @@ def expm_stack(a):
         w = np.concatenate((x, y, r), axis=1)
         well_conditioned = w.shape[1] == d and np.linalg.cond(w) <= EIG_COND_MAX
     except np.linalg.LinAlgError:
-        well_conditioned = False
+        lam, well_conditioned = general_eigenvalues(a), False
     if well_conditioned:
         w_inv = np.linalg.inv(w)
         xt, yt, rt = w_inv[:pairs], w_inv[pairs:2 * pairs], w_inv[2 * pairs:]
@@ -255,7 +252,7 @@ def expm_stack(a):
             import scipy.linalg
 
             return scipy.linalg.expm(-_times(t, 1)[:, None, None] * a)
-    stack.factored = bool(well_conditioned)
+    stack.factored, stack.gap = bool(well_conditioned), float(lam.real.min())
     return stack
 
 

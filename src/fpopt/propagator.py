@@ -132,7 +132,8 @@ class _Flow:
     :func:`kernel.expm_stack`, which serves every time in a segment with
     one stacked expression, and norms come from the Gram matrices
     ``M^T M`` (:func:`_log_top_singular`), taken in stacks of at most
-    ``_CHUNK_ELEMENTS`` matrix entries.
+    ``_CHUNK_ELEMENTS`` matrix entries.  Either factor's ``gap``, that of
+    ``C~_i - shift I``, is the segment's one spectrum.
 
     ``cap`` is the longest horizon the problem's own time scale allows.
     The eigenvalues of each shifted drift ``a`` are rounded by about
@@ -609,19 +610,18 @@ def _refine_peaks(flow: _Flow, grid: np.ndarray, values: np.ndarray, centres: np
 def _scan_envelope(schedule: Schedule, rate: float) -> _ScanResult:
     if not 0.0 < rate < np.inf:
         raise InvalidArgument("rate must be positive and finite")
-    # A rate beyond the asymptotic decay of the schedule makes the weighted
-    # curve diverge, so its supremum does not exist.  The asymptotic decay
-    # rate is the spectral gap of the final pair (the curves here are not
-    # monotone, but their envelope decays exactly at that gap unless the
-    # boundary eigenvalue is defective, which the window check below covers).
-    gap = spectral_gap(schedule.asymptotic_pair)
-    if rate > gap + 1e-8 * max(rate, abs(gap)):
-        raise RateTooLarge(
-            f"rate {rate!r} exceeds the asymptotic decay {gap!r} of the schedule")
-    last_switch = schedule.switch_times[-1] if schedule.switch_times else 0.0
-    horizon = max(20.0 / rate, 4.0 * last_switch)   # inf for a rate near underflow
     # weighted at the rate, the flow's log norms are log(exp(rate t) ||T||)
     flow = _Flow(schedule, shift=rate)
+    # A rate beyond the asymptotic decay, the spectral gap of the final pair,
+    # makes the weighted curve diverge (the curves here are not monotone, but
+    # their envelope decays exactly at that gap unless the boundary eigenvalue
+    # is defective, which the window check below covers).  The final factor,
+    # of C~ - rate I, has that gap minus the rate.
+    gap = rate + flow.exps[-1].gap
+    if rate > gap + 1e-8 * max(rate, abs(gap)):
+        raise RateTooLarge(f"rate {rate!r} exceeds the asymptotic decay {gap!r} of the schedule")
+    last_switch = schedule.switch_times[-1] if schedule.switch_times else 0.0
+    horizon = max(20.0 / rate, 4.0 * last_switch)   # inf for a rate near underflow
     flow.check_horizon(horizon, "envelope horizon")
     grid = np.linspace(0.0, horizon, DEFAULT_SAMPLES)
     if schedule.switch_times:   # all of them lie within the horizon

@@ -504,18 +504,35 @@ def test_near_defective_segment_overflow_exit_2(tmp_path):
         assert done.stderr.count("\n") == 1
 
 
+def test_eigensolver_failure_exit_2(tmp_path, capsys, monkeypatch):
+    # a segment's factor that gets no spectrum from eig asks eigvals for
+    # one; when that fails too, the query ends in exit 2, never a guess
+    def failing(a):
+        raise np.linalg.LinAlgError("no convergence")
+
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, failing)
+    path = write_json(tmp_path / "p.json", near_defective_doc(3))
+    code, out, err = run(capsys, "compare", path, "--rate", "1")
+    assert code == 2 and not out
+    assert err == "fpopt: eigenvalue iteration failed: no convergence\n"
+
+
 def test_near_defective_segment_answers_in_2d(tmp_path):
-    # the 2x2 closed form is accurate there: compare's constant is the
+    # the 2x2 closed form is accurate there: compare's constant, and the
+    # curve's at the default rate (the final pair's gap, exactly 1), is the
     # supremum on the first layer, the closed-form constant of the loaded
     # whitened drift
     pytest.importorskip("mpmath")
     path = write_json(tmp_path / "p.json", near_defective_doc(2))
+    exact = exact_constant_2d(load_problem(path).schedule.pairs[0].whitened_drift)
     curve = run_strict("curve", path, "--samples", "50", "--tmax", "10")
     assert curve.returncode == 0 and not curve.stderr
+    t, _, envelope = map(float, curve.stdout.splitlines()[1].split(","))
+    assert t == 0.0 and envelope == pytest.approx(exact, rel=1e-12, abs=0)
     done = run_strict("compare", path, "--rate", "1")
     assert done.returncode == 0 and not done.stderr
     constant = float(done.stdout.splitlines()[1].split("\t")[1])
-    exact = exact_constant_2d(load_problem(path).schedule.pairs[0].whitened_drift)
     assert constant == pytest.approx(exact, rel=1e-12, abs=0)
 
 

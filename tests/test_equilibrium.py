@@ -17,6 +17,7 @@ from fpopt import (
     spectral_gap,
     validate_pair,
 )
+from fpopt.benchmarks import balanced_pair, symmetric_pair
 from helpers import make_pair, random_admissible_pair, random_covariance
 
 
@@ -254,6 +255,38 @@ def test_spectral_gap_of_optimal_pair_attains_rate():
     cov = Covariance(np.array([1.0, 2.0]))
     cert = construct_optimal(cov, 2.0)
     assert spectral_gap(cert.pair) == pytest.approx(1.0, abs=1e-10)
+
+
+def _near_defective_drifts(rng):
+    """Drifts whose traceless part has ``delta2 = +-10**-k`` times its scale,
+    so that the eigenvalues are a near-defective real or complex pair."""
+    for k in range(2, 15, 2):
+        for sign in (1.0, -1.0):
+            mu, n, p = rng.normal(size=3)
+            q = (sign * 10.0**-k - n * n) / p
+            yield np.array([[mu + n, p], [q, mu - n]])
+
+
+def test_2d_spectral_gap_matches_mpmath():
+    # the gap of the closed-form factor, against the eigenvalues
+    # mu +- sqrt(delta2) of the same double matrix at 60 digits: within 16
+    # ulps, including where mu and delta nearly cancel (symmetric_pair)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(32)
+    drifts = [rng.normal(size=(2, 2)) * 10.0**rng.uniform(-3.0, 3.0) for _ in range(300)]
+    drifts += list(_near_defective_drifts(rng))
+    # on K = I the whitened drift is the drift itself, bit for bit
+    pairs = [CoefficientPair(Covariance(np.eye(2)), a, np.zeros((2, 2))) for a in drifts]
+    pairs += [symmetric_pair(), balanced_pair()]
+    worst = 0.0
+    with mpmath.workdps(60):
+        for pair in pairs:
+            (a, b), (c, d) = [[mpmath.mpf(x) for x in row] for row in pair.whitened_drift.tolist()]
+            mu, delta2 = (a + d) / 2, ((a - d) / 2) ** 2 + b * c
+            exact = mu if delta2 <= 0 else mu - mpmath.sqrt(delta2)
+            error = abs(mpmath.mpf(spectral_gap(pair)) - exact)
+            worst = max(worst, float(error) / np.spacing(abs(float(exact))))
+    assert worst <= 16.0
 
 
 def test_spectral_gap_whitening_invariant():

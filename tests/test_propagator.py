@@ -661,16 +661,21 @@ def test_import_leaves_the_thread_pool_unloaded():
 def count_evaluations(monkeypatch):
     """Record every time the flow evaluates: one list per segment's
     factored exponential (``kernel.expm_2x2`` at d = 2, else
-    ``kernel.expm_stack``), of arrays of times since the segment's start."""
+    ``kernel.expm_stack``), of arrays of times since the segment's start.
+    A list is added at its factor's first evaluation, so only the flow's
+    factors count: the one that ``spectral_gap`` takes in 2D is read for
+    its gap and never evaluated.  The flow evaluates its segments in order,
+    each prefix on the way, so the lists come in segment order."""
     stacks = []
 
     def counting(factor):
         def counting_factor(a):
             exp, evaluated = factor(a), []
-            stacks.append(evaluated)
 
             @functools.wraps(exp)   # and its attributes
             def counted(t):
+                if not evaluated:
+                    stacks.append(evaluated)
                 evaluated.append(np.array(t, dtype=float))
                 return exp(t)
             return counted
@@ -736,6 +741,45 @@ def test_norm_curve_default_rate_is_the_spectral_gap():
         assert default.sharp_constant == explicit.sharp_constant
         assert np.array_equal(default.times, explicit.times)
         assert np.array_equal(default.values, explicit.values)
+
+
+def count_spectra(monkeypatch):
+    """Count the calls of ``np.linalg.eig`` and ``np.linalg.eigvals``."""
+    calls = dict.fromkeys(("eig", "eigvals"), 0)
+
+    def counting(name, solve):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return solve(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
+def test_one_eigensolve_per_segment(monkeypatch):
+    # each segment's factor is its one spectrum: the scan refuses a rate
+    # from the final factor's gap, with no eigensolve of its own, and only
+    # norm_curve's default rate, the final pair's gap, takes one eigvals
+    cov = Covariance(np.geomspace(1.0, 10.0, 3))
+    first, last = construct_optimal(cov, 1.5), construct_optimal(cov, 2.0)
+    schedule = Schedule([first.pair, last.pair], [1.0])
+    calls = count_spectra(monkeypatch)
+    sharp_constant(schedule, last.rate)
+    assert calls == {"eig": 2, "eigvals": 0}
+    norm_curve(schedule)
+    assert calls == {"eig": 4, "eigvals": 1}
+    # no 2D query makes either call
+    calls.update(eig=0, eigvals=0)
+    pair, two = rotating_pair(7.0), split_schedule(rotating_pair(11.0), 0.1)
+    sharp_constant(two, 1.0)
+    tangency_time(two, 1.0)
+    norm_curve(two)
+    spectral_gap(pair)
+    validate_pair(pair)
+    best_constant_2d(pair)
+    assert calls == {"eig": 0, "eigvals": 0}
 
 
 def test_norm_curve_rate_must_be_positive_and_finite():
@@ -1098,16 +1142,16 @@ def test_best_constant_2d_near_defective_matches_mpmath(mu):
 
 
 def test_2x2_paths_call_no_matrix_library(monkeypatch):
-    # the closed forms need no eigendecomposition, condition number, inverse
-    # or scipy; the spectral gap keeps its own eigvals call
+    # the closed forms need no eigendecomposition, eigenvalues, condition
+    # number, inverse or scipy
     def refuse(*args, **kwargs):
         raise AssertionError("a matrix library call on a 2x2 path")
 
-    for name in ("eig", "cond", "inv"):
+    for name in ("eig", "eigvals", "cond", "inv"):
         monkeypatch.setattr(np.linalg, name, refuse)
     monkeypatch.setitem(sys.modules, "scipy", None)   # an import of scipy fails
     pair = rotating_pair(1.0 + 1e-9)
-    assert kernel.expm_stack(pair.whitened_drift)(np.array([0.0, 1.0])).shape == (2, 2, 2)
+    assert np.all(np.isfinite(kernel.expm_2x2(pair.whitened_drift)(np.array([0.0, 1.0]))))
     flow = _Flow(split_schedule(pair, 0.1), shift=1.0)
     assert np.all(np.isfinite(flow.log_norms(np.linspace(0.0, 1.0, 9), 1.0, "t_max")))
     assert best_constant_2d(pair) > 1.0
@@ -1239,4 +1283,6 @@ def test_compare_schedules_rejects_mixed_equilibria():
 
 
 def test_spectral_gap_of_rotating_pairs():
-    assert spectral_gap(rotating_pair(7.0)) == pytest.approx(1.0, abs=1e-10)
+    # their half-trace, exactly: the 2x2 gap is the closed form's mu
+    for mu in (7.0, 11.0, 13.8):
+        assert spectral_gap(rotating_pair(mu)) == 1.0
