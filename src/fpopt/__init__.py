@@ -40,13 +40,11 @@ from .equilibrium import (
     validate_pair,
 )
 from .construction import (
-    GrowthRow,
     OptimalCertificate,
     arithmetic_weights,
     construct_optimal,
     equidistribute_basis,
     frobenius_bound,
-    growth_study,
 )
 from .propagator import (
     NormCurve,
@@ -68,7 +66,6 @@ __all__ = [
     "Covariance",
     "EigenFailure",
     "FpoptError",
-    "GrowthRow",
     "InvalidArgument",
     "InvalidConstant",
     "InvalidInterval",
@@ -95,7 +92,6 @@ __all__ = [
     "expm_stack",
     "frobenius_bound",
     "general_eigenvalues",
-    "growth_study",
     "kalman_rank",
     "max_initial_decay",
     "norm_curve",

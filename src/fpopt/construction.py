@@ -27,14 +27,13 @@ side:
 
 The arithmetic weight ladder ``w_k = (d-1)/(c^2-1) + k - 1`` also keeps the
 skew coupling small enough that ``||C||_F`` grows only like ``d^{3/2}`` at
-fixed conditioning; :func:`frobenius_bound` is the closed-form bound and
-:func:`growth_study` measures it.
+fixed conditioning; :func:`frobenius_bound` is the closed-form bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -258,28 +257,3 @@ def frobenius_bound(covariance: Covariance, budget: float) -> tuple[float, float
     drift_bound = covariance.fastest_rate * (
         d + np.sqrt(covariance.condition_number) * beta * np.sqrt(d) * (d - 1))
     return float(drift_bound), float(d)
-
-
-class GrowthRow(NamedTuple):
-    dim: int
-    drift_norm: float
-    drift_bound: float
-
-
-def growth_study(budget: float, dims) -> list[GrowthRow]:
-    """Measure drift size against the bound on a fixed-conditioning family.
-
-    Uses ``K_d = diag(1, 2, ..., 2)`` so the condition number stays at 2 and
-    only the dimension varies.  Each row holds the dimension, the actual
-    ``||C||_F`` of the constructed pair, and the closed-form bound.
-    """
-    rows = []
-    for d in dims:
-        d = int(d)
-        if d < 2:
-            raise ValueError("growth study needs dimensions >= 2")
-        cov = Covariance(np.concatenate(([1.0], np.full(d - 1, 2.0))))
-        cert = construct_optimal(cov, budget)
-        bound, _ = frobenius_bound(cov, budget)
-        rows.append(GrowthRow(d, float(np.linalg.norm(cert.pair.drift)), bound))
-    return rows

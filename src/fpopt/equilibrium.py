@@ -52,16 +52,14 @@ class Covariance:
     """
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim == 1:
-            m = np.diag(m)
-        m = kernel.as_square(m)
-        if m.shape[0] < 1:
-            raise NotPSD("covariance must be at least 1x1")
-        if kernel.symmetry_defect(m) > kernel.SYM_TOL:
-            raise NotSymmetric("covariance must be symmetric")
-        m = 0.5 * (m + m.T)
-        w, v = np.linalg.eigh(m)
+        m = _symmetric(matrix)
+        self._cache(m, *np.linalg.eigh(m))
+
+    def _cache(self, m, w, v) -> None:
+        """Hold ``K = m`` and the data derived from its eigenpairs: the
+        variances ``w`` in ascending order and the orthonormal axes ``v``,
+        one column each.  Refuses a variance that is not positive, or is
+        subnormal."""
         if w[0] <= 0.0:
             raise NotPSD("covariance must be positive definite")
         if w[0] < np.finfo(float).tiny:
@@ -84,7 +82,15 @@ class Covariance:
 
     @classmethod
     def from_eigen(cls, variances, axes) -> "Covariance":
-        """Build from eigenvalues plus an orthogonal eigenvector matrix."""
+        """Build from eigenvalues plus an orthogonal eigenvector matrix.
+
+        The stated pairs are kept, sorted by variance, with each axis scaled
+        to unit length: ``variances``, the derived matrices and the fastest
+        rate and direction come from them, not from an eigendecomposition
+        of ``K``, whose rounding is ``eps ||K||`` absolute and would move
+        the smallest variance by about ``eps kappa(K)`` relative.
+        ``matrix`` is ``axes diag(variances) axes^T``, symmetrised.
+        """
         variances = np.asarray(variances, dtype=float)
         axes = kernel.as_square(axes)
         if variances.ndim != 1 or variances.size != axes.shape[0]:
@@ -92,7 +98,11 @@ class Covariance:
         defect = np.linalg.norm(axes.T @ axes - np.eye(axes.shape[0]))
         if defect > 1e-10 * axes.shape[0]:
             raise ValueError(f"eigenvector matrix is not orthogonal (defect {defect:.3e})")
-        return cls(axes @ np.diag(variances) @ axes.T)
+        order = np.argsort(variances, kind="stable")
+        covariance = cls.__new__(cls)
+        covariance._cache(_symmetric(axes @ np.diag(variances) @ axes.T), variances[order],
+                          axes[:, order] / np.linalg.norm(axes[:, order], axis=0))
+        return covariance
 
     # Whitening: the change of variables that maps the equilibrium Gaussian
     # to the standard normal.  Drifts transform by similarity, quadratic
@@ -111,6 +121,20 @@ class Covariance:
 
     def __repr__(self):
         return f"Covariance(dim={self.dim}, fastest_rate={self.fastest_rate:.6g})"
+
+
+def _symmetric(matrix) -> np.ndarray:
+    """``matrix`` as a finite square float array, symmetrised; refuses an
+    empty or a non-symmetric one."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim == 1:
+        m = np.diag(m)
+    m = kernel.as_square(m)
+    if m.shape[0] < 1:
+        raise NotPSD("covariance must be at least 1x1")
+    if kernel.symmetry_defect(m) > kernel.SYM_TOL:
+        raise NotSymmetric("covariance must be symmetric")
+    return 0.5 * (m + m.T)
 
 
 def _finite_product(a, b, c) -> np.ndarray:

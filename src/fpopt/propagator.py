@@ -124,15 +124,18 @@ class _Flow:
     nothing it feeds (norms, their logarithms, the envelope scan) ever
     sees a number near underflow.  Each segment's shifted drift is
     factored once, and the prefix products ``P_i = M(s_i)`` are cached at
-    the switch times ``s_i``.  In 2D the factor is :func:`kernel.expm_2x2`:
+    the switch times ``s_i``.  :meth:`log_norms` walks the segments a call
+    touches once and evaluates each one's times straight from its factor.
+    In 2D the factor is :func:`kernel.expm_2x2`:
     on segment ``i``, ``M = exp(log_scale) (c P_i + s Q_i)`` with the fixed
     ``Q_i = -N_i P_i``, so a log norm and its slope come from the four sums
     of :func:`_top_singular_2x2`, linear in ``c`` and ``s``, with no matrix
     stack and no eigendecomposition.  For ``d > 2`` the factor is
     :func:`kernel.expm_stack`, which serves every time in a segment with
     one stacked expression, and norms come from the Gram matrices
-    ``M^T M`` (:func:`_log_top_singular`), taken in stacks of at most
-    ``_CHUNK_ELEMENTS`` matrix entries.  Either factor's ``gap``, that of
+    ``M^T M`` (:func:`_log_top_singular`) of the stacks that
+    :meth:`_segment` builds, in chunks of at most ``_CHUNK_ELEMENTS``
+    matrix entries cut inside one segment.  Either factor's ``gap``, that of
     ``C~_i - shift I``, is the segment's one spectrum.
 
     ``cap`` is the longest horizon the problem's own time scale allows.
@@ -145,11 +148,12 @@ class _Flow:
     keeps the move of the exponent ``log_scale`` within about one.  A drift
     equal to ``shift I`` has no time scale and no cap.
 
-    For ``d > 2`` a call of two or more chunks runs on every CPU (see
-    :func:`_run_shares`): the calling thread takes the first contiguous
-    share of the chunks and worker threads the others, each writing its
-    own slices of the output.  A chunk's values do not depend on the thread
-    that computes them, so the result is the serial loop's bit for bit.
+    For ``d > 2`` a call of more times than one chunk holds runs on every
+    CPU (see :func:`_run_shares`): the calling thread takes the first
+    contiguous share of the chunks and worker threads the others, each
+    writing its own entries of the output.  A chunk's values do not
+    depend on the thread that computes them, so the result is the serial
+    loop's bit for bit.
     The chunks then hold ``_CHUNK_ELEMENTS`` entries over all threads, not
     each.  The split runs inside the one BLAS-thread hold
     (:func:`_one_blas_thread`) that every command of :func:`fpopt.cli.main`
@@ -194,16 +198,6 @@ class _Flow:
             m = (m.reshape(-1, self.dim) @ self.prefixes[i]).reshape(m.shape)
         return m
 
-    def at(self, times: np.ndarray, segment: Optional[np.ndarray] = None) -> np.ndarray:
-        """Stack of the weighted M(t) for a 1-D array of times ``t >= 0``;
-        ``segment`` is each time's segment, found here if not given."""
-        if segment is None:
-            segment = np.searchsorted(self.starts[1:], times, side="right")
-        out = np.empty((len(times), self.dim, self.dim))
-        for i, hit in _by_segment(segment):
-            out[hit] = self._segment(i, times[hit] - self.starts[i])
-        return out
-
     def check_horizon(self, horizon: float, name: str) -> None:
         """Refuse an infinite ``horizon``, or one beyond ``cap``, by name."""
         if not horizon < np.inf or horizon > self.cap:
@@ -228,50 +222,46 @@ class _Flow:
         segment = np.searchsorted(self.starts[1:], times, side="right")
         logs = np.empty(len(times))
         grads = np.empty(len(times)) if slopes else None
-        if self.dim == 2:
-            self._log_norms_2x2(times, segment, logs, grads)
+        threads = (_share_plan() or 1) if self.dim > 2 else 1
+        step = max(1, _CHUNK_ELEMENTS // (threads * self.dim**2))
+        chunks = []   # (segment, times from its start, their indices)
+        for i, hit in _by_segment(segment):
+            for k in range(0, hit.size, step):
+                part = hit[k:k + step]
+                chunks.append((i, times[part] - self.starts[i], part))
+
+        def fill(share):
+            with np.errstate(all="ignore"):   # per thread: workers do not inherit it
+                for k in share:
+                    self._log_norms_chunk(*chunks[k], logs, grads)
+
+        if threads > 1 and len(times) > step:   # else a thread costs more than it saves
+            _run_shares(fill, np.array_split(range(len(chunks)), min(threads, len(chunks))))
         else:
-            self._log_norms_stacked(times, segment, logs, grads)
+            fill(range(len(chunks)))
         if not (logs < np.inf).all():   # nan or +inf; -inf is a norm underflowed to 0
             raise InvalidInterval(f"{name} {horizon:.6g} is too long for this problem: "
                                   "the weighted propagator is not finite within it")
         return (logs, grads) if slopes else logs
 
-    def _log_norms_2x2(self, times, segment, logs, grads) -> None:
-        """Fill ``logs`` (and ``grads`` unless ``None``) at d = 2, with no
-        matrix formed.  On segment ``i``, ``M = exp(log_scale) (c P + s Q)``
-        (:meth:`_segment`), so the four sums of :func:`_top_singular_2x2`
-        are ``c`` times those of ``P`` plus ``s`` times those of ``Q``."""
-        with np.errstate(all="ignore"):
-            for i, hit in _by_segment(segment):
-                scale, c, s = self.exps[i](times[hit] - self.starts[i])
-                sums = np.stack((c, s), axis=1) @ self.sums[i]
-                log, u = _top_singular_2x2(*sums.T, left_vectors=grads is not None)
-                logs[hit] = scale + log
-                if grads is not None:
-                    grads[hit] = -np.einsum("ni,ij,nj->n", u, self.drifts[i], u)
-
-    def _log_norms_stacked(self, times, segment, logs, grads) -> None:
-        """Fill ``logs`` (and ``grads`` unless ``None``) at d > 2 from stacks
-        of ``M(t)``, in chunks of at most ``_CHUNK_ELEMENTS`` entries over
-        all threads, split as the class docstring says."""
-        threads = _share_plan() or 1
-        step = max(1, _CHUNK_ELEMENTS // (threads * self.dim**2))
-        chunks = range(0, len(times), step)
-
-        def fill(share):
-            with np.errstate(all="ignore"):   # per thread: workers do not inherit it
-                for k in share:
-                    part = slice(k, k + step)
-                    m = self.at(times[part], segment[part])
-                    logs[part], u = _log_top_singular(m, left_vectors=grads is not None)
-                    if grads is not None:
-                        grads[part] = -np.einsum("ni,nij,nj->n", u, self.drifts[segment[part]], u)
-
-        if threads > 1 and len(chunks) > 1:
-            _run_shares(fill, np.array_split(chunks, min(threads, len(chunks))))
+    def _log_norms_chunk(self, i, tau, hit, logs, grads) -> None:
+        """Fill ``logs[hit]`` (and ``grads[hit]`` unless ``grads`` is
+        ``None``) at the times ``starts[i] + tau`` of segment ``i``, straight
+        from the segment's factor.  At d = 2 no matrix is formed: there
+        ``M = exp(log_scale) (c P + s Q)`` (:meth:`_segment`), so the four
+        sums of :func:`_top_singular_2x2` are ``c`` times those of ``P`` plus
+        ``s`` times those of ``Q``.  For d > 2 the stack that
+        :meth:`_segment` builds goes to :func:`_log_top_singular` as it is."""
+        vectors = grads is not None
+        if self.dim == 2:
+            scale, c, s = self.exps[i](tau)
+            log, u = _top_singular_2x2(*(np.stack((c, s), axis=1) @ self.sums[i]).T,
+                                       left_vectors=vectors)
+            logs[hit] = scale + log
         else:
-            fill(chunks)
+            logs[hit], u = _log_top_singular(self._segment(i, tau), left_vectors=vectors)
+        if vectors:
+            grads[hit] = -np.einsum("ni,ij,nj->n", u, self.drifts[i], u)
 
 
 def _by_segment(segment: np.ndarray):

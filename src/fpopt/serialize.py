@@ -5,7 +5,8 @@ shorthand for diagonal matrices.  A problem file holds the covariance under
 ``"K"`` plus any of: a budget ``"c"``, an explicit pair ``{"C": ..., "D":
 ...}``, a schedule (list of segments, each an explicit pair or a construct
 directive plus a duration, the last one open-ended), and an analysis block
-``{"rate", "t_max", "samples"}``.
+``{"rate", "t_max", "samples"}`` (``"tMax"`` for ``"t_max"``), which
+refuses any other key.
 """
 
 from __future__ import annotations
@@ -168,6 +169,10 @@ def problem_from_dict(doc: dict) -> Problem:
     if analysis is not None:
         if not isinstance(analysis, dict):
             raise ProblemFormatError("analysis: expected an object")
+        unknown = [key for key in analysis if key not in ("rate", "t_max", "tMax", "samples")]
+        if unknown:
+            raise ProblemFormatError(f"analysis: unknown key {unknown[0]!r} "
+                                     "(expected rate, t_max or tMax, samples)")
         analysis = dict(analysis)
         if "tMax" in analysis and "t_max" not in analysis:
             analysis["t_max"] = analysis.pop("tMax")

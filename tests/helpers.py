@@ -141,9 +141,17 @@ def fokker_planck_evolution(schedule, t, degree):
     return evolution, np.array([sum(a) for a in indices])
 
 
+def flow_stack(flow, times):
+    """Stack of ``flow``'s weighted M(t), one time at a time, each from the
+    segment that holds it (``_Flow._segment``)."""
+    segment = np.searchsorted(flow.starts[1:], times, side="right")
+    return np.array([flow._segment(i, np.array([t - flow.starts[i]]))[0]
+                     for i, t in zip(segment, np.asarray(times, dtype=float))])
+
+
 def propagator_at(schedule, t):
     """T(t, 0) of ``schedule``, from the package's flow."""
-    return _Flow(schedule).at(np.array([float(t)]))[0]
+    return flow_stack(_Flow(schedule), [t])[0]
 
 
 def restarted(schedule, s):

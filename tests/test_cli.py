@@ -460,6 +460,16 @@ def test_curve_nonfinite_or_boolean_rate_or_horizon_exit_2(tmp_path, capsys, fla
     assert field in err
 
 
+def test_curve_misspelt_analysis_key_exit_2(tmp_path, capsys):
+    # "tmax" is not "t_max" or "tMax": ignored, the curve would run to the
+    # scan horizon and exit 0
+    doc = {**CONSTRUCTED, "analysis": {"tmax": 8.0, "samples": 5}}
+    code, out, err = run(capsys, "curve", write_json(tmp_path / "p.json", doc))
+    assert code == 2
+    assert not out
+    assert "'tmax'" in err
+
+
 @pytest.mark.parametrize("flags, doc, message", [
     (("--tmax", "1e20", "--samples", "50"), CONSTRUCTED, "t_max 1e+20 exceeds"),
     (("--samples", "50"), {"K": {"diag": [20, 1]}, "schedule": [

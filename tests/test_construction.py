@@ -11,7 +11,6 @@ from fpopt import (
     equidistribute_basis,
     expm,
     frobenius_bound,
-    growth_study,
     norm_curve,
     validate_pair,
 )
@@ -366,13 +365,3 @@ def test_frobenius_regression_anisotropic():
     assert np.abs(w - [3.0, 4.0]).max() <= 1e-12
     assert (w[1] + w[0]) / (w[1] - w[0]) == pytest.approx(7.0)
     assert np.linalg.norm(cert.pair.drift) == pytest.approx(np.sqrt(986.45), rel=1e-9)
-
-
-def test_growth_study_consistency():
-    rows = growth_study(2.0, [2, 4, 8])
-    cov = Covariance(np.array([1.0, 2.0]))
-    bound_c, _ = frobenius_bound(cov, 2.0)
-    assert rows[0].dim == 2
-    assert rows[0].drift_bound == pytest.approx(bound_c, rel=1e-12)
-    for row in rows:
-        assert row.drift_norm <= row.drift_bound

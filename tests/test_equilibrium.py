@@ -31,6 +31,21 @@ def test_covariance_input_forms_agree():
     assert np.array_equal(full.matrix, eigen.matrix)
 
 
+@pytest.mark.parametrize("kappa", [1e6, 1e9, 1e12])
+def test_covariance_from_eigen_keeps_the_stated_spectrum(kappa):
+    # an eigh of K = Q diag(v) Q^T rounds the smallest variance by about
+    # eps kappa relative; the stated pairs carry it exactly
+    stated = np.geomspace(1.0, kappa, 4)
+    for seed in range(5):
+        axes = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))[0]
+        cov = Covariance.from_eigen(stated[::-1], axes[:, ::-1])
+        assert np.array_equal(cov.variances, stated)
+        assert cov.fastest_rate == construct_optimal(cov, 2.0).rate == 1.0
+        assert abs(cov.fastest_direction @ axes[:, 0]) == pytest.approx(1.0, rel=0, abs=1e-15)
+        assert np.array_equal(cov.matrix, Covariance(axes[:, ::-1] @ np.diag(stated[::-1])
+                                                     @ axes[:, ::-1].T).matrix)
+
+
 def test_covariance_cached_data():
     rng = np.random.default_rng(21)
     cov = random_covariance(rng, 5)
