@@ -20,6 +20,7 @@ import numpy as np
 from fpopt import (
     Covariance,
     construct_optimal,
+    equidistribute_basis,
     expm,
     general_eigenvalues,
     spectral_gap,
@@ -80,7 +81,8 @@ def main():
     print(f"variances = {cov4.variances}")
     cert = show_certificate(cov4, 1.5)
     print("equidistribution of the whitened diffusion over the certificate basis:")
-    diag = np.diag(cert.basis.T @ cert.pair.whitened_diffusion @ cert.basis)
+    basis = equidistribute_basis(cert.direction)
+    diag = np.diag(basis.T @ cert.pair.whitened_diffusion @ basis)
     print(f"  basis diagonal = {diag}  (target {cert.rate:.6f})")
 
 

@@ -132,22 +132,20 @@ class OptimalCertificate:
 
     ``P`` defines the weighted norm in which the whitened flow contracts
     exactly at ``rate``; ``Q = P^{-1}`` satisfies the Lyapunov identity with
-    the whitened skew and diffusion.  ``basis`` holds the orthonormal
-    columns of :func:`equidistribute_basis` for ``direction``, the
-    eigenvectors of both; each has overlap ``1/sqrt(d)`` with
-    ``direction``.
+    the whitened skew and diffusion.  Their eigenvectors are the columns of
+    ``equidistribute_basis(direction)``, each with overlap ``1/sqrt(d)``
+    with ``direction``.
     ``weights`` is the arithmetic ladder of :func:`arithmetic_weights` for
     ``budget``, the eigenvalues of ``Q`` (of ``P`` in the transposed
     variant), and ``constant = sqrt(kappa(P)) = sqrt(w[-1] / w[0])`` is the
     certified envelope constant, equal to the budget up to rounding.  In
-    the isotropic case the symmetric pair achieves constant 1, ``basis`` is
+    the isotropic case the symmetric pair achieves constant 1, the basis is
     the identity and ``weights`` is None.  ``variant`` records whether the
     transposed skew was used; both variants certify the same envelope.
     """
 
     pair: CoefficientPair
     direction: np.ndarray
-    basis: np.ndarray
     weights: Optional[np.ndarray]
     Q: np.ndarray
     P: np.ndarray
@@ -196,7 +194,6 @@ def construct_optimal(covariance: Covariance, budget: float,
         eye = np.eye(d)
         return OptimalCertificate(
             pair=pair, direction=covariance.fastest_direction,
-            basis=eye,
             weights=None, Q=eye, P=eye.copy(),
             budget=budget, constant=1.0, rate=rate, variant=variant)
 
@@ -230,7 +227,7 @@ def construct_optimal(covariance: Covariance, budget: float,
     drift = covariance.unwhiten_drift(whitened_diffusion + whitened_skew)
     pair = CoefficientPair(covariance, drift, diffusion)
     return OptimalCertificate(
-        pair=pair, direction=direction, basis=basis, weights=weights,
+        pair=pair, direction=direction, weights=weights,
         Q=0.5 * (q + q.T), P=0.5 * (p + p.T),
         budget=budget, constant=float(np.sqrt(weights[-1] / weights[0])), rate=rate,
         variant=variant)

@@ -11,6 +11,8 @@ quantitative validation, and the spectral gap.
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
+
 import numpy as np
 
 from . import kernel
@@ -184,11 +186,12 @@ def same_equilibrium(a: Covariance, b: Covariance) -> bool:
 class CoefficientPair:
     """A drift/diffusion pair tied to a fixed Gaussian equilibrium.
 
-    Stores the raw matrices, the eigenvalues of ``D``, the skew certificate
-    ``J`` (the antisymmetric part of ``C K``), and the whitened forms every
-    norm computation runs on:
-    ``C~ = K^{-1/2} C K^{1/2}``, ``D~ = K^{-1/2} D K^{-1/2}``,
-    ``J~ = K^{-1/2} J K^{-1/2}``.  Construction enforces shape, finiteness,
+    Stores the raw matrices, the eigenvalues of ``D``, and the whitened
+    forms every norm computation runs on:
+    ``C~ = K^{-1/2} C K^{1/2}`` and ``D~ = K^{-1/2} D K^{-1/2}``.  For an
+    admissible pair ``C = (D + J) K^{-1}``, so the whitened skew
+    ``J~ = K^{-1/2} J K^{-1/2}`` is the antisymmetric part of
+    ``whitened_drift``.  Construction enforces shape, finiteness,
     symmetry and positive semi-definiteness of the diffusion, and the trace
     budget.  Whether the pair actually preserves the equilibrium is a
     quantitative question answered by :func:`validate_pair`; the residual is
@@ -209,17 +212,12 @@ class CoefficientPair:
         self.drift = drift
         self.diffusion = diffusion
         self.diffusion_eigenvalues = eigs
-        # halved first: a finite J never overflows, an infinite one fails whitening
-        with np.errstate(over="ignore", invalid="ignore"):
-            ck = 0.5 * (drift @ covariance.matrix)
-            self.skew = ck - ck.T
         self._stationarity = _stationarity(drift, covariance.matrix, diffusion)
         residual, _, e = self._stationarity
         with np.errstate(over="ignore"):   # a residual beyond the float range is inf
             self.stationarity_residual = float(np.ldexp(residual, e))
         self.whitened_drift = covariance.whiten_drift(drift)
         self.whitened_diffusion = covariance.whiten_form(diffusion)
-        self.whitened_skew = covariance.whiten_form(self.skew)
         self.trace_diffusion = trace
 
     @property
@@ -231,6 +229,7 @@ class CoefficientPair:
                 f"{self.trace_diffusion:.6g})")
 
 
+@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of the stationarity / uniqueness checks, with raw residuals.
 
@@ -240,33 +239,25 @@ class ValidationReport:
     preserved Gaussian is the only normalized steady state.
     """
 
-    def __init__(self, stationarity_residual, admissible, spectral_gap,
-                 positive_stable, hypoelliptic, trace_diffusion, rank_diffusion):
-        self.stationarity_residual = float(stationarity_residual)
-        self.admissible = bool(admissible)
-        self.spectral_gap = float(spectral_gap)
-        self.positive_stable = bool(positive_stable)
-        self.hypoelliptic = bool(hypoelliptic)
-        self.steady_state_unique = bool(positive_stable and hypoelliptic)
-        self.trace_diffusion = float(trace_diffusion)
-        self.rank_diffusion = int(rank_diffusion)
+    stationarity_residual: float
+    admissible: bool
+    spectral_gap: float
+    positive_stable: bool
+    hypoelliptic: bool
+    trace_diffusion: float
+    rank_diffusion: int
+
+    @property
+    def steady_state_unique(self) -> bool:
+        return self.positive_stable and self.hypoelliptic
 
     @property
     def passed(self) -> bool:
         return self.admissible and self.steady_state_unique
 
     def as_dict(self) -> dict:
-        return {
-            "stationarity_residual": self.stationarity_residual,
-            "admissible": self.admissible,
-            "spectral_gap": self.spectral_gap,
-            "positive_stable": self.positive_stable,
-            "hypoelliptic": self.hypoelliptic,
-            "steady_state_unique": self.steady_state_unique,
-            "trace_diffusion": self.trace_diffusion,
-            "rank_diffusion": self.rank_diffusion,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "steady_state_unique": self.steady_state_unique,
+                "passed": self.passed}
 
     def __repr__(self):
         status = "passed" if self.passed else "FAILED"
@@ -297,7 +288,7 @@ def validate_pair(pair: CoefficientPair) -> ValidationReport:
         positive_stable=gap > 0.0,
         hypoelliptic=kernel.kalman_rank(pair.whitened_drift, pair.whitened_diffusion),
         trace_diffusion=pair.trace_diffusion,
-        rank_diffusion=np.count_nonzero(eigs > kernel.RANK_TOL * eigs.max()),
+        rank_diffusion=int(np.count_nonzero(eigs > kernel.RANK_TOL * eigs.max())),
     )
 
 

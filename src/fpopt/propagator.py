@@ -148,19 +148,20 @@ class _Flow:
     keeps the move of the exponent ``log_scale`` within about one.  A drift
     equal to ``shift I`` has no time scale and no cap.
 
-    For ``d > 2`` a call of more times than one chunk holds runs on every
+    For ``d > 2`` every evaluation runs inside the one BLAS-thread hold
+    (:func:`_one_blas_thread`) that every command of :func:`fpopt.cli.main`
+    also takes: inside a command it re-enters the command's hold, and a
+    library call outside one takes the hold for the evaluation alone, so
+    no evaluation runs under a BLAS pool that the caller's threads can
+    oversubscribe.  A call of more times than one chunk holds runs on every
     CPU (see :func:`_run_shares`): the calling thread takes the first
     contiguous share of the chunks and worker threads the others, each
     writing its own entries of the output.  A chunk's values do not
     depend on the thread that computes them, so the result is the serial
     loop's bit for bit.
     The chunks then hold ``_CHUNK_ELEMENTS`` entries over all threads, not
-    each.  The split runs inside the one BLAS-thread hold
-    (:func:`_one_blas_thread`) that every command of :func:`fpopt.cli.main`
-    also takes: inside a command it re-enters the command's hold, and a
-    library call outside one takes the hold for the split alone.  With one
-    CPU, or no thread limit in numpy's OpenBLAS, the chunks run one after
-    another in the calling thread.
+    each.  With one CPU, or no thread limit in numpy's OpenBLAS, the chunks
+    run one after another in the calling thread.
     """
 
     def __init__(self, schedule: Schedule, shift: float = 0.0):
@@ -235,10 +236,11 @@ class _Flow:
                 for k in share:
                     self._log_norms_chunk(*chunks[k], logs, grads)
 
-        if threads > 1 and len(times) > step:   # else a thread costs more than it saves
-            _run_shares(fill, np.array_split(range(len(chunks)), min(threads, len(chunks))))
-        else:
-            fill(range(len(chunks)))
+        with _one_blas_thread() if self.dim > 2 else contextlib.nullcontext():
+            if threads > 1 and len(times) > step:   # else a thread costs more than it saves
+                _run_shares(fill, np.array_split(range(len(chunks)), min(threads, len(chunks))))
+            else:
+                fill(range(len(chunks)))
         if not (logs < np.inf).all():   # nan or +inf; -inf is a norm underflowed to 0
             raise InvalidInterval(f"{name} {horizon:.6g} is too long for this problem: "
                                   "the weighted propagator is not finite within it")
@@ -301,7 +303,7 @@ def _share_plan():
     """The number of threads that share out a ``d > 2`` flow evaluation,
     or ``None`` where it runs serially (one CPU, or no thread limit found).
     They are the caller and one worker per further CPU.  They only gain if
-    each runs OpenBLAS on one thread, which :func:`_run_shares` sees to;
+    each runs OpenBLAS on one thread, which :meth:`_Flow.log_norms` sees to;
     with its default pool, OpenBLAS's own threads spin between calls and
     the evaluating threads wait for each other."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -309,14 +311,15 @@ def _share_plan():
 
 
 #: The one BLAS-thread hold (:func:`_one_blas_thread`), taken by every
-#: command of :func:`fpopt.cli.main` and by every split evaluation, which
-#: re-enters it inside a command.  The OpenBLAS thread limit sets the
-#: process-wide count in the pthreads builds of numpy's wheels, despite
-#: its name, so holders in different threads run one at a time.  A fork
-#: from another thread waits for the hold under way: the child never
-#: inherits a lowered count or a worker thread that did not survive the
-#: fork.  A fork made from inside a held command, by the holding thread,
-#: re-enters the hold instead, and the child inherits the count of one.
+#: command of :func:`fpopt.cli.main` and by every ``d > 2`` flow
+#: evaluation, which re-enters it inside a command.  The OpenBLAS thread
+#: limit sets the process-wide count in the pthreads builds of numpy's
+#: wheels, despite its name, so holders in different threads run one at a
+#: time.  A fork from another thread waits for the hold under way: the
+#: child never inherits a lowered count or a worker thread that did not
+#: survive the fork.  A fork made from inside a held command, by the
+#: holding thread, re-enters the hold instead, and the child inherits the
+#: count of one.
 _share_lock = threading.RLock()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(before=_share_lock.acquire, after_in_parent=_share_lock.release,
@@ -329,7 +332,7 @@ def _one_blas_thread():
     count from before on the way out, whatever ends the block.  Reentrant:
     an inner hold finds one thread and leaves one.  Does nothing where the
     thread limit is missing.  Library callers outside a command keep their
-    BLAS pool, except inside a split evaluation."""
+    BLAS pool, except inside a ``d > 2`` flow evaluation."""
     limit = _openblas_thread_limit()
     if limit is None:
         yield
@@ -344,10 +347,10 @@ def _one_blas_thread():
 
 def _run_shares(work, shares):
     """Call ``work(share)`` for each share, the first in this thread and
-    each other on a thread of its own, inside the BLAS-thread hold
-    (:func:`_one_blas_thread`), which a command run by :func:`fpopt.cli.main`
-    already holds.  Returns once all have finished and the hold is left,
-    re-raising the first failure: this thread's, else the earliest share's.
+    each other on a thread of its own.  The caller holds the BLAS-thread
+    hold (:func:`_one_blas_thread`), so that every share runs OpenBLAS on
+    one thread.  Returns once all have finished, re-raising the first
+    failure: this thread's, else the earliest share's.
 
     The threads live for this call only.  They are plain threads, not a
     ``concurrent.futures`` pool: its ``submit`` takes a lock that the
@@ -364,15 +367,14 @@ def _run_shares(work, shares):
 
     workers = [threading.Thread(target=run, args=(i,), name=f"fpopt-flow_{i}")
                for i in range(1, len(shares))]
-    with _one_blas_thread():
-        try:
-            for worker in workers:
-                worker.start()
-            run(0)
-        finally:
-            for worker in workers:
-                if worker.ident is not None:   # started
-                    worker.join()
+    try:
+        for worker in workers:
+            worker.start()
+        run(0)
+    finally:
+        for worker in workers:
+            if worker.ident is not None:   # started
+                worker.join()
     for failure in failures:
         if failure is not None:
             raise failure

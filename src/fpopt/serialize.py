@@ -213,9 +213,8 @@ def certificate_to_dict(cert: OptimalCertificate) -> dict:
     certificate matrices ``P`` and ``Q = P^{-1}``, ``direction``,
     ``weights`` (null in the isotropic case), the budget ``c``,
     ``constant``, ``lambda_opt`` and ``variant``.  The skew part and the
-    basis are not written, because the document determines both bit for
-    bit: ``cert.pair.skew`` is ``S - S^T`` with ``S = 0.5 * C @ K`` of the
-    written ``C`` and ``K``, and ``cert.basis`` is
+    basis are not written, because the document determines both: the skew
+    is the antisymmetric part of the written ``C @ K``, and the basis is
     ``equidistribute_basis(direction)``, or the identity when ``weights``
     is null.
     """

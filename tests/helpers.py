@@ -7,7 +7,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from fpopt import CoefficientPair, Covariance, Schedule, propagator
+from fpopt import CoefficientPair, Covariance, Schedule, equidistribute_basis, propagator
 from fpopt.propagator import _Flow
 
 
@@ -28,10 +28,24 @@ def make_pair(cov, diffusion, skew):
 
 def certificate_skew(doc):
     """The skew part ``S - S^T``, ``S = C K / 2``, of a certificate
-    document's ``C`` and ``K``, formed as :class:`CoefficientPair` forms
-    it."""
+    document's ``C`` and ``K``."""
     ck = 0.5 * (np.array(doc["C"]) @ np.array(doc["K"]))
     return ck - ck.T
+
+
+def whitened_skew(pair):
+    """The whitened skew ``J~``: the antisymmetric part of the whitened
+    drift, halved first so that it overflows only where ``J~`` does."""
+    half = 0.5 * pair.whitened_drift
+    return half - half.T
+
+
+def basis_of(cert):
+    """The certificate's basis: the eigenvectors of ``P`` and ``Q``, or the
+    identity in the isotropic case."""
+    if cert.weights is None:
+        return np.eye(cert.dim)
+    return equidistribute_basis(cert.direction)
 
 
 def random_admissible_pair(rng, cov):

@@ -33,6 +33,7 @@ from helpers import (
     random_admissible_pair,
     random_covariance,
     restarted,
+    whitened_skew,
 )
 
 
@@ -107,7 +108,7 @@ def test_criterion_05_lyapunov_certificate_and_exact_decay():
         for budget in (1.2, 2.0):
             cert = construct_optimal(cov, budget)
             pair, rate, q = cert.pair, cert.rate, cert.Q
-            jw, dw = pair.whitened_skew, pair.whitened_diffusion
+            jw, dw = whitened_skew(pair), pair.whitened_diffusion
             residual = np.linalg.norm(jw @ q - q @ jw + q @ dw + dw @ q - 2.0 * rate * q)
             assert residual <= 1e-9 * rate * np.linalg.norm(q)
             x0 = rng.normal(size=(d, 100))

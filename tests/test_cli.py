@@ -15,7 +15,7 @@ from fpopt.benchmarks import rotating_pair
 from fpopt.cli import main
 from fpopt.serialize import (ProblemFormatError, certificate_to_dict, dump_json, load_problem,
                              problem_from_dict)
-from helpers import blas_threads, certificate_skew, exact_constant_2d, hold_is_free
+from helpers import basis_of, blas_threads, certificate_skew, exact_constant_2d, hold_is_free
 
 EPS = 0.05
 
@@ -334,7 +334,7 @@ def test_validate_reads_old_certificates_as_trimmed_ones(tmp_path, capsys, varia
     # refused (D doubled, over the trace budget)
     cert = construct_optimal(Covariance(np.array([1.0, 3.0, 5.0, 20.0])), 2.0, variant=variant)
     trimmed = certificate_to_dict(cert)
-    old = {**trimmed, "J": cert.pair.skew, "basis": cert.basis}
+    old = {**trimmed, "J": certificate_skew(trimmed), "basis": basis_of(cert)}
     for tamper, expected in (({}, 0), ({"D": 2.0 * cert.pair.diffusion}, 4)):
         outcomes = []
         for name, doc in (("trimmed", trimmed), ("old", old)):

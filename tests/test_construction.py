@@ -6,6 +6,7 @@ from fpopt import (
     Covariance,
     InvalidArgument,
     InvalidConstant,
+    Schedule,
     arithmetic_weights,
     construct_optimal,
     equidistribute_basis,
@@ -14,7 +15,9 @@ from fpopt import (
     norm_curve,
     validate_pair,
 )
-from helpers import random_covariance
+from fpopt.construction import VARIANTS
+from fpopt.propagator import _Flow
+from helpers import basis_of, random_covariance, whitened_skew
 
 
 # --------------------------------------------------- equidistributing basis
@@ -123,7 +126,7 @@ def test_skew_coupling_2d_value():
         cert = construct_optimal(cov, np.sqrt(2.0), variant)
         assert np.abs(cert.pair.whitened_diffusion - np.diag([2.0, 0.0])).max() <= 1e-12
         # the skew itself, unlike its coordinates, does not depend on the basis
-        assert np.abs(cert.pair.whitened_skew - sign * expected).max() <= 1e-12
+        assert np.abs(whitened_skew(cert.pair) - sign * expected).max() <= 1e-12
 
 
 def test_skew_coupling_rank_one_formula():
@@ -136,8 +139,9 @@ def test_skew_coupling_rank_one_formula():
     assert cert.rate == pytest.approx(rate, rel=1e-15)
     w = cert.weights
     assert np.array_equal(w, arithmetic_weights(4, 1.4))
-    coupling = cert.basis.T @ cert.pair.whitened_skew @ cert.basis
-    a = cert.basis.T @ cert.direction
+    basis = basis_of(cert)
+    coupling = basis.T @ whitened_skew(cert.pair) @ basis
+    a = basis.T @ cert.direction
     assert np.abs(a**2 - 0.25).max() <= 1e-10
     expected = _coupling_matrix(w) * 4.0 * rate * np.outer(a, a)
     assert np.abs(coupling - expected).max() <= 1e-10
@@ -162,7 +166,7 @@ def test_decay_does_not_depend_on_the_equidistributing_basis():
         cert = construct_optimal(cov, 2.0)
         pair = cert.pair
         signs = rng.choice([-1.0, 1.0], size=d)
-        basis = cert.basis[:, rng.permutation(d)] * signs
+        basis = basis_of(cert)[:, rng.permutation(d)] * signs
         # Psi'^T D~ Psi' = rate sigma sigma^T, so the general coupling
         # A(w) * <psi'_j, D~ psi'_k> is rate A(w) sigma sigma^T entrywise
         coupling = cert.rate * _coupling_matrix(cert.weights) * np.outer(signs, signs)
@@ -203,6 +207,35 @@ def test_constructed_decay_is_the_normal_form(dim, budget):
             assert curve.sharp_constant == pytest.approx(normal.sharp_constant, rel=tol)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("dim, budget", [(3, 2.0), (8, 1.5), (16, 3.0), (5, 50.0), (4, 200.0)])
+def test_constructed_flow_is_a_scaled_rotation_group(dim, budget, variant):
+    # N = 11^T + A(w) = I + 2 W^{1/2} S W^{-1/2} with the real skew
+    # S_jk = sqrt(w_j w_k) / (w_j - w_k), so exp(rt) ||T(t)|| is the norm of
+    # W^{1/2} exp(-2rtS) W^{-1/2}, or of W^{-1/2} exp(-2rtS^T) W^{1/2} in the
+    # transposed variant; exp(-tau S) = V diag(exp(i tau lambda)) V^H from
+    # the Hermitian iS.  c = 200 takes the flow's scipy route.
+    cert = construct_optimal(Covariance(np.geomspace(1.0, 10.0, dim)), budget, variant)
+    w, rate = cert.weights, cert.rate
+    gaps = np.subtract.outer(w, w)
+    np.fill_diagonal(gaps, np.inf)
+    skew = np.sqrt(np.outer(w, w)) / gaps
+    left, right = np.sqrt(w), 1.0 / np.sqrt(w)
+    if variant == "transpose":
+        skew, left, right = skew.T, right, left
+    lam, v = np.linalg.eigh(1j * skew)
+    times = np.linspace(0.0, 20.0 / rate, 401)
+    group = [(v * np.exp(2j * rate * t * lam)) @ v.conj().T for t in times]
+    expected = [np.linalg.norm(left[:, None] * u * right, 2) for u in group]
+    flow = _Flow(Schedule.constant(cert.pair), shift=rate)
+    ours = np.exp(flow.log_norms(times, times[-1], "t_max"))
+    assert np.abs(ours / expected - 1.0).max() <= 1e-12
+    # the certificate's P has a Lyapunov residual of rounding size
+    p, ct = cert.P, cert.pair.whitened_drift
+    residual = np.linalg.norm(p @ ct + ct.T @ p - 2.0 * rate * p)
+    assert residual <= 16.0 * np.finfo(float).eps * np.linalg.norm(p) * np.linalg.norm(ct)
+
+
 # ------------------------------------------------------- optimal construction
 
 def test_construct_2d_matches_closed_form():
@@ -233,7 +266,7 @@ def test_construct_isotropic_shortcut():
     cert = construct_optimal(cov, 5.0)
     assert np.array_equal(cert.pair.drift, np.eye(3))
     assert np.array_equal(cert.pair.diffusion, np.eye(3))
-    assert np.abs(cert.pair.skew).max() == 0.0
+    assert np.abs(whitened_skew(cert.pair)).max() == 0.0
     assert cert.constant == 1.0
     assert np.array_equal(cert.P, np.eye(3))
 
@@ -246,10 +279,11 @@ def test_certificate_invariants_random():
         cert = construct_optimal(cov, budget, variant=variant)
         pair, rate = cert.pair, cert.rate
         # equidistribution of the whitened diffusion over the basis
-        diag = np.diag(cert.basis.T @ pair.whitened_diffusion @ cert.basis)
+        basis = basis_of(cert)
+        diag = np.diag(basis.T @ pair.whitened_diffusion @ basis)
         assert np.abs(diag - rate).max() <= 1e-10 * rate
         # Lyapunov identity for (skew, Q)
-        q, jw, dw = cert.Q, pair.whitened_skew, pair.whitened_diffusion
+        q, jw, dw = cert.Q, whitened_skew(pair), pair.whitened_diffusion
         residual = np.linalg.norm(jw @ q - q @ jw + q @ dw + dw @ q - 2.0 * rate * q)
         assert residual <= 1e-9 * rate * np.linalg.norm(q)
         # the weighted norm contracts exactly at the fastest rate
@@ -278,7 +312,7 @@ def test_construction_survives_ill_conditioning():
         cov = Covariance(np.array(variances))
         cert = construct_optimal(cov, 1.5)
         pair, rate, q = cert.pair, cert.rate, cert.Q
-        jw, dw = pair.whitened_skew, pair.whitened_diffusion
+        jw, dw = whitened_skew(pair), pair.whitened_diffusion
         residual = np.linalg.norm(jw @ q - q @ jw + q @ dw + dw @ q - 2.0 * rate * q)
         assert residual <= 1e-12 * rate * np.linalg.norm(q)
         report = validate_pair(pair)
@@ -296,7 +330,8 @@ def test_construction_validates_at_large_and_small_scales():
     for variances in ([1e14, 2e14], [1e-14, 3e-14, 2e-14], [1e10, 5e10, 2e10, 3e10]):
         cert = construct_optimal(Covariance(np.array(variances)), 2.0)
         dw = cert.pair.whitened_diffusion
-        diag = np.diag(cert.basis.T @ dw @ cert.basis)
+        basis = basis_of(cert)
+        diag = np.diag(basis.T @ dw @ basis)
         assert np.abs(diag / (np.trace(dw) / len(dw)) - 1.0).max() <= 1e-10
         assert validate_pair(cert.pair).passed
 
@@ -312,7 +347,7 @@ def test_conditioning_sweep_validates():
             cert = construct_optimal(Covariance.from_eigen(np.geomspace(1.0, kappa, d), axes), 2.0)
             pair, rate, q = cert.pair, cert.rate, cert.Q
             assert validate_pair(pair).passed, (d, kappa)
-            jw, dw = pair.whitened_skew, pair.whitened_diffusion
+            jw, dw = whitened_skew(pair), pair.whitened_diffusion
             residual = np.linalg.norm(jw @ q - q @ jw + q @ dw + dw @ q - 2.0 * rate * q)
             scale = np.linalg.norm(q) * (np.linalg.norm(jw) + np.linalg.norm(dw) + rate)
             assert residual <= 100.0 * eps * kappa * scale, (d, kappa)
@@ -330,7 +365,7 @@ def test_transpose_variant_relations():
     cov = Covariance(np.array([1.0, 2.0]))
     standard = construct_optimal(cov, 2.0)
     transposed = construct_optimal(cov, 2.0, variant="transpose")
-    assert np.abs(transposed.pair.whitened_skew + standard.pair.whitened_skew).max() <= 1e-12
+    assert np.abs(whitened_skew(transposed.pair) + whitened_skew(standard.pair)).max() <= 1e-12
     assert np.abs(transposed.pair.whitened_drift - standard.pair.whitened_drift.T).max() <= 1e-12
     assert np.abs(transposed.Q - standard.P).max() <= 1e-12
 

@@ -18,7 +18,7 @@ from fpopt import (
     validate_pair,
 )
 from fpopt.benchmarks import balanced_pair, symmetric_pair
-from helpers import make_pair, random_admissible_pair, random_covariance
+from helpers import make_pair, random_admissible_pair, random_covariance, whitened_skew
 
 
 # ------------------------------------------------------------ Covariance
@@ -160,8 +160,9 @@ def test_pair_invariants_random_sweep():
             scale = (np.linalg.norm(pair.drift) * np.linalg.norm(cov.matrix)
                      + np.linalg.norm(diffusion))
             assert pair.stationarity_residual <= 1e-10 * scale
-            # round trip: the skew certificate recovered from C K
-            assert np.linalg.norm(pair.skew - skew) <= 1e-12 * max(1.0, np.linalg.norm(skew))
+            # round trip: the whitened skew recovered from the whitened drift
+            jw = cov.whiten_form(skew)
+            assert np.linalg.norm(whitened_skew(pair) - jw) <= 1e-12 * max(1.0, np.linalg.norm(jw))
             # whitened symmetric part equals the whitened diffusion
             ct = pair.whitened_drift
             assert np.linalg.norm(0.5 * (ct + ct.T) - pair.whitened_diffusion) \
@@ -238,14 +239,19 @@ def test_skew_certificate_is_taken_without_overflow():
         # unhalved difference is not
         far = CoefficientPair(Covariance(np.eye(2)), 1e308 * np.array([[1.0, 1.0], [-1.0, 1.0]]),
                               np.zeros((2, 2)))
-        assert np.array_equal(far.skew, 1e308 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert np.array_equal(whitened_skew(far), 1e308 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
         report = validate_pair(far)
         assert report.stationarity_residual == np.inf
         assert not report.admissible and not report.passed
-        # C K = 1e400 [[1, 1], [-1, 1]]: the skew part itself is beyond the float range
-        with pytest.raises(InvalidMatrix, match="finite"):
-            CoefficientPair(Covariance(1e200 * np.eye(2)),
-                            1e200 * np.array([[1.0, 1.0], [-1.0, 1.0]]), np.zeros((2, 2)))
+        # C K = 1e400 [[1, 1], [-1, 1]] is beyond the float range, but the
+        # whitened drift 1e200 [[1, 1], [-1, 1]] is not: the pair is taken,
+        # and its residual, beyond the float range too, fails validation
+        farther = CoefficientPair(Covariance(1e200 * np.eye(2)),
+                                  1e200 * np.array([[1.0, 1.0], [-1.0, 1.0]]), np.zeros((2, 2)))
+        assert np.array_equal(whitened_skew(farther), 1e200 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        report = validate_pair(farther)
+        assert report.stationarity_residual == np.inf
+        assert not report.admissible and not report.passed
 
 
 def test_whitening_overflow_is_an_input_error():

@@ -21,7 +21,7 @@ from fpopt.serialize import (
     matrix_from_obj,
     problem_from_dict,
 )
-from helpers import certificate_skew
+from helpers import basis_of, certificate_skew
 
 
 def test_matrix_shorthand_forms():
@@ -77,8 +77,9 @@ def test_certificate_determines_the_skew_and_basis_it_omits(cov, variant):
         basis = np.eye(doc["dim"])
     else:
         basis = equidistribute_basis(np.array(doc["direction"]))
-    assert basis.tobytes() == cert.basis.tobytes()
-    assert certificate_skew(doc).tobytes() == cert.pair.skew.tobytes()
+    assert basis.tobytes() == basis_of(cert).tobytes()
+    own = {"C": cert.pair.drift, "K": cert.covariance.matrix}
+    assert certificate_skew(doc).tobytes() == certificate_skew(own).tobytes()
 
 
 def test_schedule_document_durations():
